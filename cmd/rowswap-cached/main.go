@@ -1,11 +1,10 @@
 // Command rowswap-cached is the networked sweep's store/coordinator
 // daemon: an HTTP content-addressed object store plus a work-stealing
-// job queue over an evaluation manifest. Workers (rowswap-sweep work
-// or run-shard -server) push each result the moment it is simulated
-// and claim their next job from the queue; the merge stage
-// (rowswap-sweep merge -server) pulls the complete result set — so a
-// multi-machine run of the paper's evaluation needs no copied cache
-// directories at all.
+// job queue over an evaluation manifest. Workers (rowswap-sweep work)
+// push each result the moment it is simulated and claim their next job
+// from the queue; the merge stage (rowswap-sweep merge -server) pulls
+// the complete result set — so a multi-machine run of the paper's
+// evaluation needs no copied cache directories at all.
 //
 //	rowswap-sweep  plan -all -shards 1 -out manifest.json       # coordinator
 //	rowswap-cached -manifest manifest.json -store-dir store     # coordinator (keep running)

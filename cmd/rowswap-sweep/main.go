@@ -26,13 +26,14 @@
 // roots the RNG derivation). Both job kinds flow through the same
 // shard / work-steal / merge pipeline. run-shard is the worker entry
 // point (stateless and idempotent: re-running redoes only missing
-// jobs); merge unions the worker cache directories, audits
-// completeness, folds batch tallies into each security figure's
-// Monte-Carlo rows — bit-identical to a single-process run of the same
-// seeded trials, in any completion order — folds the merged entries
-// into a packed shard index, renders every covered figure, and writes
-// a results file that rowswap-figures -manifest can re-render without
-// simulating. All stages must run the same build of this binary — the
+// jobs); merge folds every job's result through the merged directory,
+// copying the entries it lacks verbatim from the worker cache
+// directories, audits completeness, folds batch tallies into each
+// security figure's Monte-Carlo rows — bit-identical to a
+// single-process run of the same seeded trials, in any completion
+// order — folds the merged entries into a packed shard index, renders
+// every covered figure, and writes a results file that rowswap-figures
+// -manifest can re-render without simulating. All stages must run the same build of this binary — the
 // manifest records the binary fingerprint and every stage verifies it.
 //
 // See README.md for a whole-evaluation two-worker walkthrough.
@@ -57,16 +58,17 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-cost-dir DIR] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
-  rowswap-sweep run-shard -manifest manifest.json -shard I (-cache-dir DIR | -server URL) [-workers N] [-progress]
+  rowswap-sweep run-shard -manifest manifest.json -shard I -cache-dir DIR [-workers N] [-progress]
   rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
   rowswap-sweep merge     -manifest manifest.json (-dirs DIR0,DIR1,... | -server URL) -merged-dir DIR [-out results.json] [-no-pack] [-progress]
 
-run-shard executes a plan-time shard; work registers its manifest with
-a rowswap-cached daemon (idempotent — the daemon keys each evaluation
-by manifest fingerprint) and claims jobs from that manifest's
-work-stealing queue until the evaluation is done. With -server,
-results are pushed to / pulled from the daemon and no cache
-directories change hands.
+run-shard executes a plan-time shard into a cache directory; work
+registers its manifest with a rowswap-cached daemon (idempotent — the
+daemon keys each evaluation by manifest fingerprint) and claims jobs
+from that manifest's work-stealing queue until the evaluation is done,
+pushing results to the daemon. merge folds every job's result through
+-merged-dir, copying entries it lacks from the worker directories
+(-dirs) or the daemon (-server).
 `)
 	os.Exit(2)
 }
@@ -180,35 +182,18 @@ func runShard(args []string) error {
 	manifest := fs.String("manifest", "", "manifest written by plan")
 	shard := fs.Int("shard", -1, "shard index to execute")
 	cacheDir := fs.String("cache-dir", "", "result cache directory this worker writes")
-	server := fs.String("server", "", "rowswap-cached URL to push results to instead of a local cache directory")
 	workers := fs.Int("workers", 0, "simulation goroutines (0 = all CPUs)")
 	progress := fs.Bool("progress", false, "print per-job progress")
 	fs.Parse(args)
 
-	if *manifest == "" || *shard < 0 {
-		return fmt.Errorf("missing -manifest or -shard")
-	}
-	if (*cacheDir == "") == (*server == "") {
-		return fmt.Errorf("exactly one of -cache-dir (filesystem interchange) or -server (rowswap-cached transport) is required")
+	if *manifest == "" || *shard < 0 || *cacheDir == "" {
+		return fmt.Errorf("missing -manifest, -shard or -cache-dir (for a rowswap-cached daemon, use work -server)")
 	}
 	m, err := sweep.LoadManifest(*manifest)
 	if err != nil {
 		return err
 	}
-	var prog *os.File
-	if *progress {
-		prog = os.Stderr
-	}
-	if *server != "" {
-		stats, err := m.RunShardServer(*shard, objstore.NewClient(*server), *workers, progIfSet(prog))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("shard %d: %d jobs done (%d served from store) -> %s\n",
-			*shard, stats.Jobs, stats.Hits, *server)
-		return nil
-	}
-	stats, err := m.RunShard(*shard, *cacheDir, *workers, progIfSet(prog))
+	stats, err := m.RunShard(*shard, *cacheDir, *workers, progressTo(*progress))
 	if err != nil {
 		return err
 	}
@@ -263,11 +248,7 @@ func runWork(args []string) error {
 		return fmt.Errorf("registering manifest with %s: %w", client.Base(), err)
 	}
 	client = client.ForManifest(reg.Fingerprint)
-	var prog *os.File
-	if *progress {
-		prog = os.Stderr
-	}
-	stats, err := m.RunWork(client, *name, *workers, progIfSet(prog))
+	stats, err := m.RunWork(client, *name, *workers, progressTo(*progress))
 	if err != nil {
 		return err
 	}
@@ -297,15 +278,11 @@ func runMerge(args []string) error {
 	if err != nil {
 		return err
 	}
-	var prog *os.File
-	if *progress {
-		prog = os.Stderr
-	}
 	var res *sweep.Results
 	if *server != "" {
-		res, err = m.MergeServer(*mergedDir, objstore.NewClient(*server), !*noPack, progIfSet(prog))
+		res, err = m.MergeServer(*mergedDir, objstore.NewClient(*server), !*noPack, progressTo(*progress))
 	} else {
-		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), !*noPack, progIfSet(prog))
+		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), !*noPack, progressTo(*progress))
 	}
 	if err != nil {
 		return err
@@ -319,12 +296,11 @@ func runMerge(args []string) error {
 	return res.Render(os.Stdout)
 }
 
-// progIfSet converts a possibly-nil *os.File into the io.Writer the
-// sweep API expects (a typed-nil *os.File inside a non-nil interface
-// would defeat its progress == nil checks).
-func progIfSet(f *os.File) io.Writer {
-	if f == nil {
-		return nil
+// progressTo returns the progress writer the sweep API expects: stderr
+// when progress is on, a nil io.Writer (progress disabled) otherwise.
+func progressTo(on bool) io.Writer {
+	if on {
+		return os.Stderr
 	}
-	return f
+	return nil
 }

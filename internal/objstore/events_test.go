@@ -76,14 +76,14 @@ func TestEventLogWait(t *testing.T) {
 	}
 }
 
-// TestQueueReconcilesLeasedAgainstStore pins the stale-coverage fix: a
-// leased job whose result is already in the store is a completed job,
-// whatever happened to the completion call. The sweep must mark it
-// done (credited to the lease holder), count a reconcile — and NOT a
-// requeue or a stale completion — so /v1/service never shows a
-// finished cell as in-flight longer than one poll.
+// TestQueueReconcilesLeasedAgainstStore pins what store_reconciled
+// means: an acknowledgement lost. A live lease is the holder's to
+// complete, so a stored result does not settle it early; once the
+// lease expires, a stored result proves the work happened, so the job
+// is done (credited to the holder) and counted as reconciled — NOT
+// requeued, and not a stale completion.
 func TestQueueReconcilesLeasedAgainstStore(t *testing.T) {
-	q, _ := newTestQueue(2, time.Minute)
+	q, clk := newTestQueue(2, time.Minute)
 	stored := map[string]bool{}
 	q.stored = func(key string) bool { return stored[key] }
 	var feed []string
@@ -93,19 +93,21 @@ func TestQueueReconcilesLeasedAgainstStore(t *testing.T) {
 	if claim.Status != ClaimJob {
 		t.Fatalf("claim: %+v", claim)
 	}
-	// Result lands in the store (say, the worker's Complete call was
-	// lost in flight). The next sweep — here via Stats — reconciles.
+	// The result lands in the store; the worker's Complete call is then
+	// lost (say, it died between push and complete).
 	stored[claim.Claim.Key] = true
 	st := q.Stats()
-	if st.Done != 1 || st.Leased != 0 {
-		t.Fatalf("stored lease not reconciled: %+v", st)
+	if st.Leased != 1 || st.StoreReconciled != 0 {
+		t.Fatalf("live lease settled from the store: leased=%d reconciled=%d, want 1/0", st.Leased, st.StoreReconciled)
 	}
-	if st.StoreReconciled != 1 || st.Requeues != 0 || st.StaleCompletions != 0 {
-		t.Fatalf("reconcile counters: reconciled=%d requeues=%d stale=%d, want 1/0/0",
-			st.StoreReconciled, st.Requeues, st.StaleCompletions)
+	clk.advance(2 * time.Minute)
+	st = q.Stats()
+	if st.Done != 1 || st.StoreReconciled != 1 || st.Requeues != 0 || st.StaleCompletions != 0 {
+		t.Fatalf("expired stored lease: done=%d reconciled=%d requeues=%d stale=%d, want 1/1/0/0",
+			st.Done, st.StoreReconciled, st.Requeues, st.StaleCompletions)
 	}
-	if st.Complete["w0"] != 1 {
-		t.Errorf("holder not credited for the reconciled job: %+v", st.Complete)
+	if st.Workers["w0"].Completed != 1 {
+		t.Errorf("holder not credited for the reconciled job: %+v", st.Workers)
 	}
 	if len(feed) != 1 || feed[0] != claim.Claim.Key {
 		t.Errorf("reconcile did not feed the event log: %v", feed)
@@ -118,15 +120,15 @@ func TestQueueReconcilesLeasedAgainstStore(t *testing.T) {
 	if err := q.Complete(claim.Claim.Job, claim.Claim.Lease, "w0", nil); err != nil {
 		t.Errorf("late Complete after reconcile: %v", err)
 	}
-	if st := q.Stats(); st.Complete["w0"] != 1 || len(feed) != 1 {
-		t.Errorf("late Complete double-counted: %+v, feed %v", st.Complete, feed)
+	if st := q.Stats(); st.Workers["w0"].Completed != 1 || len(feed) != 1 {
+		t.Errorf("late Complete double-counted: %+v, feed %v", st.Workers, feed)
 	}
 	// An expired lease with no stored result still requeues normally.
 	c2 := q.Claim("w1")
 	if c2.Status != ClaimJob {
 		t.Fatalf("second claim: %+v", c2)
 	}
-	q.now = func() time.Time { return time.Unix(1000, 0).Add(5 * time.Minute) }
+	clk.advance(2 * time.Minute)
 	if st := q.Stats(); st.Requeues != 1 || st.StoreReconciled != 1 {
 		t.Errorf("unstored expiry: requeues=%d reconciled=%d, want 1/1", st.Requeues, st.StoreReconciled)
 	}

@@ -84,10 +84,10 @@ type Queue struct {
 	// exactly once per job (completion, recovery, or store
 	// reconciliation), called with q.mu held — it feeds the tenant's
 	// completion feed, which only takes its own lock. stored, when set,
-	// lets the sweep reconcile leases against the store: a leased job
-	// whose result already exists is done, whoever pushed it. Both are
-	// wired by the server before the queue is published; they are not
-	// safe to set once the queue is shared.
+	// lets the sweep reconcile expired leases against the store: an
+	// expired job whose result already exists is done, whoever pushed
+	// it. Both are wired by the server before the queue is published;
+	// they are not safe to set once the queue is shared.
 	onDone func(job int, key string)
 	stored func(key string) bool
 }
@@ -199,20 +199,20 @@ type ClaimResponse struct {
 	RetryMS int    `json:"retry_ms,omitempty"`
 }
 
-// sweepExpiredLocked reconciles leased jobs against the store, then
-// requeues every remaining lease that has run out. Reconciliation runs
-// first: a leased job whose result entry already exists IS complete —
-// results are content-addressed, so the entry proves the work happened
-// even when the completion call never arrived (worker died between
-// push and complete, stale-lease completion raced a requeue). Marking
-// it done here, credited to the lease holder, keeps the service view
-// honest — ActiveLeases never lists a completed cell as in-flight, and
-// a completed-but-unacknowledged job is never requeued and re-claimed.
-// Callers must hold q.mu.
+// sweepExpiredLocked settles every lease that has run out. An expired
+// job whose result entry already exists IS complete — results are
+// content-addressed, so the entry proves the work happened even though
+// the completion call never arrived (the worker died between push and
+// complete) — and is marked done, credited to the lease holder, and
+// counted as store-reconciled instead of being requeued and re-run.
+// Every other expired lease returns its job to the pending pool. Live
+// leases are left alone: their holder is still expected to complete
+// them, so the store is consulted only for the rare expired lease,
+// never on the claim path. Callers must hold q.mu.
 func (q *Queue) sweepExpiredLocked() {
 	now := q.now()
 	for i := range q.jobs {
-		if q.state[i] != jobLeased {
+		if q.state[i] != jobLeased || !now.After(q.expires[i]) {
 			continue
 		}
 		if q.stored != nil && q.stored(q.jobs[i].Key) {
@@ -223,10 +223,8 @@ func (q *Queue) sweepExpiredLocked() {
 			}
 			continue
 		}
-		if now.After(q.expires[i]) {
-			q.state[i] = jobPending
-			q.requeues++
-		}
+		q.state[i] = jobPending
+		q.requeues++
 	}
 }
 
@@ -340,9 +338,7 @@ type WorkerStats struct {
 }
 
 // QueueStats is a queue snapshot: totals plus per-worker claim and
-// completion counts (the networked sweep's BENCH row). Claimed and
-// Complete duplicate the per-worker counters of Workers for
-// compatibility with pre-heartbeat consumers.
+// completion counts (the networked sweep's BENCH row).
 type QueueStats struct {
 	Jobs     int `json:"jobs"`
 	Pending  int `json:"pending"`
@@ -355,16 +351,13 @@ type QueueStats struct {
 	// StaleCompletions counts completions accepted on the
 	// stored-result proof rather than a live lease.
 	StaleCompletions int `json:"stale_completions"`
-	// StoreReconciled counts leased jobs the sweep marked done because
-	// their result entry already existed in the store — completions
-	// whose acknowledgement never arrived. Each one is a cell the
-	// service view would otherwise have shown in-flight after it was
-	// already complete.
+	// StoreReconciled counts expired leases the sweep marked done
+	// because their result entry already existed in the store:
+	// completions whose acknowledgement was lost (the worker pushed
+	// the result, then died before completing).
 	StoreReconciled int `json:"store_reconciled"`
 	// Heartbeats is the total lease renewals the queue has granted.
 	Heartbeats int                    `json:"heartbeats"`
-	Claimed    map[string]int         `json:"claimed"`
-	Complete   map[string]int         `json:"completed"`
 	Workers    map[string]WorkerStats `json:"workers,omitempty"`
 }
 
@@ -378,9 +371,7 @@ func (q *Queue) Stats() QueueStats {
 	now := q.now()
 	st := QueueStats{Jobs: len(q.jobs), Requeues: q.requeues,
 		Recovered: q.recovered, StaleCompletions: q.stale,
-		StoreReconciled: q.storeReconciled,
-		Claimed:         map[string]int{}, Complete: map[string]int{},
-		Workers: map[string]WorkerStats{}}
+		StoreReconciled: q.storeReconciled, Workers: map[string]WorkerStats{}}
 	leases := map[string]int{}
 	for i := range q.jobs {
 		switch q.state[i] {
@@ -395,12 +386,6 @@ func (q *Queue) Stats() QueueStats {
 	}
 	for name, w := range q.workers {
 		st.Heartbeats += w.heartbeats
-		if w.claimed > 0 {
-			st.Claimed[name] = w.claimed
-		}
-		if w.completed > 0 {
-			st.Complete[name] = w.completed
-		}
 		st.Workers[name] = WorkerStats{
 			Claimed:      w.claimed,
 			Completed:    w.completed,

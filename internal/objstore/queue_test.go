@@ -55,7 +55,7 @@ func TestQueueDrainsInOrder(t *testing.T) {
 	if st.Done != 3 || st.Pending != 0 || st.Leased != 0 || st.Requeues != 0 {
 		t.Errorf("stats after drain: %+v", st)
 	}
-	if st.Claimed["w0"] != 3 || st.Complete["w0"] != 3 {
+	if w := st.Workers["w0"]; w.Claimed != 3 || w.Completed != 3 {
 		t.Errorf("per-worker counts: %+v", st)
 	}
 }

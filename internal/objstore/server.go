@@ -351,7 +351,7 @@ func (s *Server) Stats() QueueStats {
 	if tn := s.tenantFor(""); tn != nil {
 		return tn.queue.Stats()
 	}
-	return QueueStats{Claimed: map[string]int{}, Complete: map[string]int{}, Workers: map[string]WorkerStats{}}
+	return QueueStats{Workers: map[string]WorkerStats{}}
 }
 
 // Jobs returns the total job count across every registered tenant.

@@ -174,8 +174,8 @@ func TestServerQueueOverHTTP(t *testing.T) {
 	if st.Done != len(jobs) || st.Pending != 0 || st.Leased != 0 {
 		t.Errorf("status after drain: %+v", st)
 	}
-	if st.Claimed["w0"]+st.Claimed["w1"] != len(jobs) {
-		t.Errorf("per-worker claims do not sum to the job count: %+v", st.Claimed)
+	if st.Workers["w0"].Claimed+st.Workers["w1"].Claimed != len(jobs) {
+		t.Errorf("per-worker claims do not sum to the job count: %+v", st.Workers)
 	}
 	if got := srv.Stats(); got.Done != len(jobs) {
 		t.Errorf("server-side stats disagree: %+v", got)

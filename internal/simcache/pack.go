@@ -13,13 +13,12 @@ import (
 	"strings"
 )
 
-// This file implements the cache's sharded-sweep interchange surface:
-// ImportDir unions another cache directory (a worker's shard output)
-// into this one, and PackLoose folds loose per-result files into a
-// single packed index file. A full 78-workload sweep writes thousands
-// of small JSON entries; packing them means a later process pays one
-// sequential file scan at Open instead of a directory walk plus one
-// open per entry (the ROADMAP's "packed index" item).
+// This file implements the cache's packed index: PackLoose folds loose
+// per-result files into a single packed index file. A full 78-workload
+// sweep writes thousands of small JSON entries; packing them means a
+// later process pays one sequential file scan at Open instead of a
+// directory walk plus one open per entry (the ROADMAP's "packed index"
+// item).
 //
 // Pack format: one envelope per line, exactly the bytes a loose entry
 // file holds (same schema, key, and checksum fields), so the integrity
@@ -137,109 +136,11 @@ func (c *Cache) looseKeys() []string {
 	return keys
 }
 
-// Keys returns every key the cache can currently serve — loose files
-// and packed entries — sorted. Sweep merging uses it to audit that a
-// merged directory covers a manifest.
-func (c *Cache) Keys() []string {
-	if c == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	for _, k := range c.looseKeys() {
-		seen[k] = true
-	}
-	c.mu.RLock()
-	for k := range c.packed {
-		seen[k] = true
-	}
-	c.mu.RUnlock()
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Has reports whether the cache holds a valid entry for key.
 func (c *Cache) Has(key string) bool {
 	var raw json.RawMessage
 	hit, _ := c.Get(key, &raw)
 	return hit
-}
-
-// ImportDir unions the entries of another cache directory (typically a
-// sweep worker's shard output) into this cache as loose files,
-// returning how many entries were imported. Every entry — loose or
-// packed — is validated before import; invalid ones are skipped, not
-// copied, so a torn shard can never poison the merged cache. Entries
-// keep their envelope bytes verbatim, which keeps their checksums and
-// therefore their bit-identity across the process boundary.
-func (c *Cache) ImportDir(src string) (int, error) {
-	if c == nil {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return 0, err
-	}
-	imported := 0
-	for _, e := range entries {
-		name := e.Name()
-		full := filepath.Join(src, name)
-		switch filepath.Ext(name) {
-		case ".json":
-			key := strings.TrimSuffix(name, ".json")
-			data, err := os.ReadFile(full)
-			if err != nil {
-				continue
-			}
-			if _, ok := decodeEnvelope(data, key); !ok {
-				continue
-			}
-			if err := c.writeEntry(key, bytes.TrimSpace(data)); err != nil {
-				return imported, err
-			}
-			imported++
-		case ".pack":
-			n, err := c.importPack(full)
-			imported += n
-			if err != nil {
-				return imported, err
-			}
-		}
-	}
-	return imported, nil
-}
-
-// importPack copies every valid entry of a pack file into this cache
-// as loose files.
-func (c *Cache) importPack(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	imported := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		var e envelope
-		if json.Unmarshal(line, &e) != nil {
-			continue
-		}
-		if _, ok := decodeEnvelope(line, e.Key); !ok {
-			continue
-		}
-		entry := make([]byte, len(line))
-		copy(entry, line)
-		if err := c.writeEntry(e.Key, entry); err != nil {
-			return imported, err
-		}
-		imported++
-	}
-	return imported, sc.Err()
 }
 
 // PackLoose folds every valid loose entry into a single new packed

@@ -65,9 +65,6 @@ func TestPackLooseServesSameEntries(t *testing.T) {
 			t.Fatalf("reopened cache: entry %d not served from pack (hit=%v v=%v)", i, hit, v)
 		}
 	}
-	if got := reopened.Keys(); len(got) != 8 {
-		t.Errorf("Keys() after repack = %d entries, want 8", len(got))
-	}
 }
 
 // TestRepeatedPackingNeverDiscardsEntries is the regression test for
@@ -165,14 +162,34 @@ func TestCorruptPackedEntryIsAMiss(t *testing.T) {
 	}
 }
 
+// copyEntries copies each key a sweep merge would ask for from src into
+// dst the way the merge does (GetRaw, then PutRaw) and returns how many
+// were copied. A key src can not serve validly is skipped.
+func copyEntries(t *testing.T, dst, src *Cache, keys []string) int {
+	t.Helper()
+	n := 0
+	for _, key := range keys {
+		data, ok := src.GetRaw(key)
+		if !ok {
+			continue
+		}
+		if err := dst.PutRaw(key, data); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	return n
+}
+
+// TestImportDirUnionsLooseAndPacked pins that a merged cache built by
+// copying from one worker dir with loose entries and one with packed
+// entries serves the union of both.
 func TestImportDirUnionsLooseAndPacked(t *testing.T) {
-	srcA := t.TempDir() // loose entries
-	srcB := t.TempDir() // packed entries
-	a, err := Open(srcA)
+	a, err := Open(t.TempDir()) // loose entries
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(srcB)
+	b, err := Open(t.TempDir()) // packed entries
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,27 +203,25 @@ func TestImportDirUnionsLooseAndPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	na, err := merged.ImportDir(srcA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := merged.ImportDir(srcB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	na := copyEntries(t, merged, a, keysA)
+	nb := copyEntries(t, merged, b, keysB)
 	if na != 3 || nb != 4 {
-		t.Fatalf("imported (%d, %d) entries, want (3, 4)", na, nb)
+		t.Fatalf("copied (%d, %d) entries, want (3, 4)", na, nb)
 	}
 	for i, key := range append(append([]string(nil), keysA...), keysB...) {
 		if !merged.Has(key) {
 			t.Errorf("merged cache misses entry %d", i)
 		}
-	}
-	if got, want := merged.Keys(), 7; len(got) != want {
-		t.Errorf("merged Keys() = %d, want %d", len(got), want)
+		var v map[string]int
+		if hit, err := merged.Get(key, &v); !hit || err != nil {
+			t.Errorf("merged entry %d unreadable: hit=%v err=%v", i, hit, err)
+		}
 	}
 }
 
+// TestImportDirSkipsInvalidEntries pins that a torn or checksum-corrupted
+// worker entry is never served by GetRaw, is refused by PutRaw, and so
+// never reaches a merged cache, while the valid entry beside it does.
 func TestImportDirSkipsInvalidEntries(t *testing.T) {
 	src := t.TempDir()
 	s, err := Open(src)
@@ -217,8 +232,10 @@ func TestImportDirSkipsInvalidEntries(t *testing.T) {
 	if err := s.Put(good, 42); err != nil {
 		t.Fatal(err)
 	}
-	// A torn write and a checksum-corrupted entry must not be imported.
-	if err := os.WriteFile(filepath.Join(src, Key("torn")+".json"), []byte(`{"schema":1,"key":`), 0o644); err != nil {
+	// A torn write and a checksum-corrupted entry must not be copied.
+	torn := Key("torn")
+	tornBytes := []byte(`{"schema":1,"key":`)
+	if err := os.WriteFile(filepath.Join(src, torn+".json"), tornBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bad := Key("bad")
@@ -228,31 +245,41 @@ func TestImportDirSkipsInvalidEntries(t *testing.T) {
 	// Corrupt the payload itself (43 -> 63) so only the checksum can
 	// reject the entry.
 	path := filepath.Join(src, bad+".json")
-	data, _ := os.ReadFile(path)
-	i := bytes.LastIndexByte(data, '4')
-	data[i] = '6'
-	os.WriteFile(path, data, 0o644)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[bytes.LastIndexByte(data, '4')] = '6'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	merged, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := merged.ImportDir(src)
-	if err != nil {
-		t.Fatal(err)
+	if err := merged.PutRaw(bad, data); err == nil {
+		t.Error("PutRaw accepted checksum-corrupted bytes")
 	}
-	if n != 1 {
-		t.Errorf("imported %d entries, want only the valid one", n)
+	if err := merged.PutRaw(torn, tornBytes); err == nil {
+		t.Error("PutRaw accepted a torn entry")
+	}
+	if n := copyEntries(t, merged, s, []string{good, torn, bad}); n != 1 {
+		t.Errorf("copied %d entries, want only the valid one", n)
 	}
 	var v int
 	if hit, _ := merged.Get(good, &v); !hit || v != 42 {
-		t.Errorf("valid entry lost in import: hit=%v v=%d", hit, v)
+		t.Errorf("valid entry lost in copy: hit=%v v=%d", hit, v)
 	}
-	if merged.Has(bad) {
-		t.Error("corrupted entry imported")
+	if merged.Has(bad) || merged.Has(torn) {
+		t.Error("invalid entry copied")
 	}
 }
 
+// TestImportedEntryBytesAreVerbatim pins the copy a sweep merge makes:
+// GetRaw from a worker's cache — loose or packed — into PutRaw on the
+// merged cache must reproduce the entry file byte for byte, so
+// checksums and bit-identity survive the process boundary.
 func TestImportedEntryBytesAreVerbatim(t *testing.T) {
 	src := t.TempDir()
 	s, err := Open(src)
@@ -267,34 +294,45 @@ func TestImportedEntryBytesAreVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := merged.ImportDir(src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(merged.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("import changed entry bytes:\nsrc: %s\ndst: %s", want, got)
+	for _, packed := range []bool{false, true} {
+		if packed {
+			if _, err := s.PackLoose("shard"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, ok := s.GetRaw(key)
+		if !ok {
+			t.Fatalf("packed=%v: GetRaw missed a valid entry", packed)
+		}
+		merged, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.PutRaw(key, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(merged.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("packed=%v: copy changed entry bytes:\nsrc: %s\ndst: %s", packed, want, got)
+		}
 	}
 }
 
 func TestNilCachePackAndImportAreNoOps(t *testing.T) {
 	var c *Cache
-	if n, err := c.ImportDir(t.TempDir()); n != 0 || err != nil {
-		t.Errorf("nil ImportDir = (%d, %v)", n, err)
+	if err := c.PutRaw(Key("x"), []byte("{}")); err != nil {
+		t.Errorf("nil PutRaw = %v", err)
+	}
+	if _, ok := c.GetRaw(Key("x")); ok {
+		t.Error("nil GetRaw claims an entry")
 	}
 	if n, err := c.PackLoose("x"); n != 0 || err != nil {
 		t.Errorf("nil PackLoose = (%d, %v)", n, err)
 	}
 	if c.Has(Key("x")) {
 		t.Error("nil cache claims an entry")
-	}
-	if c.Keys() != nil {
-		t.Error("nil cache lists keys")
 	}
 }

@@ -195,8 +195,9 @@ func (c *Cache) path(key string) string {
 
 // decodeEnvelope validates the serialized entry data against key and
 // returns its payload. It is the single decoding path for loose files,
-// packed entries, and imported shards, so every read — whatever the
-// storage form — enforces the same schema, key, and checksum gates.
+// packed entries, and verbatim copies (PutRaw), so every read —
+// whatever the storage form — enforces the same schema, key, and
+// checksum gates.
 // Malformed input of any shape (truncated, non-JSON, flipped bits,
 // wrong key, stale schema) is reported as !ok, never a panic
 // (FuzzReadEntry pins this down).

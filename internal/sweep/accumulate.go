@@ -64,7 +64,7 @@ type Accumulator struct {
 // manifest that doesn't describe the evaluation fails loudly here
 // instead of folding rows into the wrong figure.
 func (m *Manifest) NewAccumulator() (*Accumulator, error) {
-	if err := m.validateStructure(); err != nil {
+	if err := m.ValidateStructure(); err != nil {
 		return nil, err
 	}
 	p, err := m.derivePlans(false)
@@ -83,15 +83,11 @@ func (m *Manifest) newAccumulator(p plan) *Accumulator {
 		sec:      p.sec,
 		jobByKey: make(map[string]int, len(m.Jobs)),
 		have:     make([]bool, len(m.Jobs)),
+		results:  make([]*sim.Result, len(p.eval.Cells)),
 	}
-	nSim := 0
 	for i, j := range m.Jobs {
 		a.jobByKey[j.Key] = i
-		if j.kind() == JobKindSim {
-			nSim++
-		}
 	}
-	a.results = make([]*sim.Result, nSim)
 	if m.Security != nil {
 		a.tallies = make([]attack.Tally, len(m.Security.Cells))
 		a.cellDone = make([]int, len(m.Security.Cells))
@@ -116,27 +112,17 @@ func (a *Accumulator) FoldJob(ji int, store simcache.Store) (bool, error) {
 		return true, nil
 	}
 	j := a.m.Jobs[ji]
+	var (
+		res sim.Result
+		t   attack.Tally
+		hit bool
+		err error
+	)
 	if j.kind() == JobKindMC {
-		t, hit, err := simcache.GetTally(store, j.Key)
-		if err != nil {
-			return false, fmt.Errorf("sweep: read tally for %s: %w", j.desc(), err)
-		}
-		if !hit {
-			return false, nil
-		}
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		if a.have[ji] { // lost a concurrent fold race; first one counted
-			return true, nil
-		}
-		a.have[ji] = true
-		a.done++
-		a.tallies[j.MC.Cell] = a.tallies[j.MC.Cell].Merge(t)
-		a.cellDone[j.MC.Cell]++
-		return true, nil
+		t, hit, err = simcache.GetTally(store, j.Key)
+	} else {
+		hit, err = store.Get(j.Key, &res)
 	}
-	var res sim.Result
-	hit, err := store.Get(j.Key, &res)
 	if err != nil {
 		return false, fmt.Errorf("sweep: read result for %s: %w", j.desc(), err)
 	}
@@ -145,12 +131,17 @@ func (a *Accumulator) FoldJob(ji int, store simcache.Store) (bool, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.have[ji] {
+	if a.have[ji] { // lost a concurrent fold race; first one counted
 		return true, nil
 	}
 	a.have[ji] = true
 	a.done++
-	a.results[ji] = &res
+	if j.kind() == JobKindMC {
+		a.tallies[j.MC.Cell] = a.tallies[j.MC.Cell].Merge(t)
+		a.cellDone[j.MC.Cell]++
+	} else {
+		a.results[ji] = &res
+	}
 	return true, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/objstore"
 	"repro/internal/report"
 )
 
@@ -19,9 +20,10 @@ import (
 // performance simulation jobs (Fig. 14) and Monte-Carlo security trial
 // batches (Fig. 6, plus the closed-form Table IV), served by a real
 // rowswap-cached daemon to two real worker processes over the
-// work-stealing queue — the first SIGKILLed while it provably holds a
-// Monte-Carlo batch lease. The survivor inherits the orphaned batch
-// after lease expiry, and the `merge -server` pull must reproduce:
+// work-stealing queue — the first SIGKILLed by a proxy the moment its
+// first Monte-Carlo batch claim has been relayed. The survivor inherits
+// the orphaned batch after lease expiry (exactly one requeue, no store
+// reconcile), and the `merge -server` pull must reproduce:
 //
 //   - Fig. 14's PerfRows bit-identical to a single-process report run,
 //   - Fig. 6's fifteen Monte-Carlo rows bit-identical to a seeded
@@ -67,44 +69,19 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 		t.Fatalf("plan summary does not announce %d Monte-Carlo batch jobs:\n%s", mcJobs, planOut)
 	}
 
-	// A short lease so the killed worker's orphaned batch is
-	// re-claimable within the test's patience.
+	// The lease bounds how long the killed worker's orphaned batch
+	// waits; live workers renew it every third of it.
 	url := startCached(t, cachedBin,
 		"-manifest", manifest, "-store-dir", filepath.Join(dir, "store"),
-		"-addr", "127.0.0.1:0", "-lease", "1s")
+		"-addr", "127.0.0.1:0", "-lease", "2s")
 
-	// The doomed worker runs alone first, on a single goroutine, so any
-	// lease the queue reports is provably its — and once the sim jobs
-	// are done (they sit first in the manifest), provably a Monte-Carlo
-	// batch: the kill lands mid-batch, not mid-simulation.
+	// The doomed worker runs alone first, on a single goroutine, through
+	// a proxy that kills it the moment its first Monte-Carlo claim has
+	// been relayed: the sim jobs (first in the manifest) complete, and
+	// the kill lands on a batch lease, not mid-simulation.
 	distStart := time.Now()
-	doomed := exec.Command(sweepBin, "work", "-server", url, "-name", "doomed", "-workers", "1", "-manifest", manifest)
-	doomed.Dir = dir
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		doomed.Process.Kill()
-		doomed.Wait()
-	}()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := queueStatus(t, url)
-		if st["done"].(float64) >= simJobs && st["leased"].(float64) >= 1 {
-			break
-		}
-		if st["done"].(float64) >= totalJobs {
-			t.Fatal("queue drained before the worker could be killed")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never held a Monte-Carlo lease: %v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := doomed.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	doomed.Wait()
+	runDoomedWorker(t, dir, sweepBin, url, manifest, killAfterClaim,
+		func(c objstore.Claim) bool { return c.Workload == MCWorkload })
 
 	// The second worker drains everything else, inheriting the orphaned
 	// batch once its lease expires.
@@ -119,8 +96,11 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 	if done := st["done"].(float64); done != totalJobs {
 		t.Errorf("queue reports %v jobs done after rescue, want %d", done, totalJobs)
 	}
-	if requeues := st["requeues"].(float64); requeues < 1 {
-		t.Errorf("no lease was requeued (requeues = %v); the kill exercised nothing", requeues)
+	if requeues := st["requeues"].(float64); requeues != 1 {
+		t.Errorf("requeues = %v, want exactly the killed worker's batch", requeues)
+	}
+	if reconciled := st["store_reconciled"].(float64); reconciled != 0 {
+		t.Errorf("store_reconciled = %v, want 0: the killed worker never pushed its batch", reconciled)
 	}
 
 	results := filepath.Join(dir, "results.json")

@@ -103,50 +103,24 @@ func TestPlanMixedManifest(t *testing.T) {
 	}
 }
 
-// A schema-2 manifest — planned before generic job kinds existed —
-// must still plan, shard, and merge. This pins backward compatibility
-// for manifests written by older builds of the perf-only sweep.
-func TestSchema2PerfManifestStillWorks(t *testing.T) {
-	m := mustPlan(t, 2, StrategyRoundRobin)
-	m.Schema = 2
-	if err := m.Validate(); err != nil {
-		t.Fatalf("schema-2 perf manifest rejected: %v", err)
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := m.RunShard(0, dirA, 0, nil); err != nil {
+// A schema-2 results file — merged before generic job kinds existed —
+// must still render: results files carry no binary fingerprint, so a
+// saved perf-only merge stays readable across builds. (Schema-2
+// manifests are rejected: no worker of this build could run one.)
+func TestSchema2ResultsStillRender(t *testing.T) {
+	m := mustPlan(t, 1, StrategyRoundRobin)
+	dir := t.TempDir()
+	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunShard(1, dirB, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Merge(t.TempDir(), []string{dirA, dirB}, false, nil)
+	res, err := m.Merge(dir, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, ok := res.FigureRows("14")
-	if !ok {
-		t.Fatal("figure 14 missing from merged results")
-	}
-	requireNonTrivial(t, rows)
-	// Schema-2 results files render too.
 	res.Schema = 2
 	var buf strings.Builder
 	if err := res.Render(&buf); err != nil || buf.Len() == 0 {
 		t.Fatalf("schema-2 results render: %v", err)
-	}
-}
-
-func TestValidateRejectsSchema2WithSecurity(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
-	m.Schema = 2
-	if err := m.ValidateStructure(); err == nil || !strings.Contains(err.Error(), "perf-only") {
-		t.Errorf("schema-2 + security section not rejected usefully: %v", err)
-	}
-	m2 := mustPlan(t, 1, StrategyRoundRobin)
-	m2.Schema = 2
-	m2.Jobs[0].Kind = JobKindSim
-	if err := m2.ValidateStructure(); err == nil || !strings.Contains(err.Error(), "perf-only") {
-		t.Errorf("schema-2 + explicit job kind not rejected usefully: %v", err)
 	}
 }
 

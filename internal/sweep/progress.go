@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// syncWriter serializes Write calls onto an underlying writer. Worker
-// pools (runJobPool, RunWork) emit one progress line per completed job
-// from whichever goroutine finished it; an unguarded writer tears and
+// syncWriter serializes Write calls onto an underlying writer. The
+// executor (execute) emits one progress line per completed job from
+// whichever goroutine finished it; an unguarded writer tears and
 // interleaves those lines under -workers > 1 and trips the race
 // detector on non-atomic writers like bytes.Buffer. Each progress line
 // is a single Write (fmt.Fprintf formats first, writes once), so

@@ -57,7 +57,7 @@ func TestSyncProgressWrapping(t *testing.T) {
 // TestRunShardProgressRaceHammer drives the real concurrent call site
 // of the shared progress writer: a worker pool executing a shard with
 // progress aimed at a plain bytes.Buffer. Before the syncProgress fix,
-// runJobPool's goroutines called fmt.Fprintf on that writer
+// the pool's goroutines called fmt.Fprintf on that writer
 // unsynchronized — a data race -race reports and a source of
 // interleaved partial lines. The pool must produce one intact progress
 // line per job.

@@ -2,16 +2,21 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	neturl "net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -209,7 +214,7 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	// The queue drained and every job was claimed by exactly one of
 	// the two named workers.
 	st := queueStatus(t, url)
-	claimed := st["claimed"].(map[string]any)
+	claimed := claimsByWorker(st)
 	if len(claimed) != 2 {
 		t.Errorf("claims from %d workers, want 2: %v", len(claimed), claimed)
 	}
@@ -262,10 +267,143 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	})
 }
 
+// Protocol steps a kill proxy SIGKILLs its worker at.
+const (
+	// killAfterClaim: the worker dies once a matching claim response
+	// has been relayed to it, holding a lease it will never complete
+	// or renew, so the job must be requeued on expiry.
+	killAfterClaim = "after-claim"
+	// killAfterPut: the worker's first entry PUT is relayed, and it
+	// dies on the /complete that follows, so the result is stored but
+	// its acknowledgement never arrives: the expired lease must be
+	// reconciled from the store, not requeued.
+	killAfterPut = "after-put"
+)
+
+// startKillProxy puts a reverse proxy between one worker and the daemon
+// at target and SIGKILLs the worker (the process sent on proc) at the
+// named protocol step. From that step on, every request the worker
+// sends is refused, never relayed, so the daemon sees exactly the
+// protocol prefix the step names. match selects the claim that arms
+// killAfterClaim. killed is closed once the worker has been killed.
+func startKillProxy(t *testing.T, target, step string, match func(objstore.Claim) bool) (url string, proc chan<- *os.Process, killed <-chan struct{}) {
+	t.Helper()
+	u, err := neturl.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		dead  bool // refuse every request from here on
+		armed bool // the kill step's trigger has been relayed
+	)
+	procCh := make(chan *os.Process, 1)
+	killedCh := make(chan struct{})
+	kill := func() {
+		if err := (<-procCh).Kill(); err != nil {
+			t.Errorf("kill proxy: %v", err)
+		}
+		close(killedCh)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ModifyResponse = func(resp *http.Response) error {
+		if step != killAfterClaim || !strings.HasSuffix(resp.Request.URL.Path, "/claim") {
+			return nil
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		var cr objstore.ClaimResponse
+		if json.Unmarshal(body, &cr) == nil && cr.Status == objstore.ClaimJob && match(*cr.Claim) {
+			// Refuse before the worker can read its claim, so nothing it
+			// does with the job reaches the daemon.
+			mu.Lock()
+			dead, armed = true, true
+			mu.Unlock()
+		}
+		return nil
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		killNow := step == killAfterPut && armed && !dead && strings.HasSuffix(r.URL.Path, "/complete")
+		if killNow {
+			dead = true
+		}
+		refuse := dead
+		mu.Unlock()
+		if killNow {
+			kill()
+		}
+		if refuse {
+			http.Error(w, "worker killed by the test proxy", http.StatusServiceUnavailable)
+			return
+		}
+		rp.ServeHTTP(w, r)
+		mu.Lock()
+		killNow = step == killAfterClaim && armed
+		armed = armed || (step == killAfterPut && r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/entry/"))
+		if killNow {
+			armed = false
+		}
+		mu.Unlock()
+		if killNow {
+			w.(http.Flusher).Flush() // the claim response is relayed
+			kill()
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, procCh, killedCh
+}
+
+// runDoomedWorker runs a one-goroutine `work -name doomed` process
+// against the daemon at url through a kill proxy, and returns once the
+// proxy has killed it at step. The test fails if the worker exits on
+// its own first.
+func runDoomedWorker(t *testing.T, dir, sweepBin, url, manifest, step string, match func(objstore.Claim) bool) {
+	t.Helper()
+	proxyURL, proc, killed := startKillProxy(t, url, step, match)
+	doomed := exec.Command(sweepBin, "work", "-server", proxyURL, "-name", "doomed", "-workers", "1", "-manifest", manifest)
+	doomed.Dir = dir
+	if err := doomed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	proc <- doomed.Process
+	exited := make(chan error, 1)
+	go func() { exited <- doomed.Wait() }()
+	select {
+	case <-killed:
+		<-exited
+	case err := <-exited:
+		t.Fatalf("doomed worker exited (%v) before the proxy killed it %s", err, step)
+	case <-time.After(2 * time.Minute):
+		doomed.Process.Kill()
+		<-exited
+		t.Fatalf("the doomed worker never reached the %s kill step", step)
+	}
+}
+
+// claimsByWorker lists each worker's claim count from a status
+// snapshot's per-worker rows, leaving out workers that claimed nothing.
+func claimsByWorker(st map[string]any) map[string]any {
+	claims := map[string]any{}
+	for name, row := range st["workers"].(map[string]any) {
+		if n := row.(map[string]any)["claimed"]; n.(float64) > 0 {
+			claims[name] = n
+		}
+	}
+	return claims
+}
+
 // TestServerSweepSurvivesKilledWorker is the fault-tolerance
-// acceptance test: a worker SIGKILLed mid-run forfeits its leased job
-// after the lease expires, a second worker steals and finishes it, and
-// the merged figure is still bit-identical to a single-process run.
+// acceptance test: a worker SIGKILLed at a named protocol step is
+// absorbed by the queue, a second worker drains the sweep, and the
+// merged figure is still bit-identical to a single-process run. Each
+// step pins its outcome: killed after its claim, the job is requeued
+// on lease expiry and re-run; killed after pushing its result, the
+// expired lease is reconciled from the store instead.
 func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 	dir := t.TempDir()
 	sweepBin := buildCLI(t, dir, "rowswap-sweep")
@@ -274,82 +412,65 @@ func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 	const instructions = 1_000_000
 	workloads := []string{"gcc", "gups"}
 
-	run := func(args ...string) string {
-		t.Helper()
-		cmd := exec.Command(sweepBin, args...)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("rowswap-sweep %v: %v\n%s", args, err, out)
-		}
-		return string(out)
-	}
-
 	manifest := filepath.Join(dir, "manifest.json")
-	run("plan", "-fig", "14",
+	planCmd := exec.Command(sweepBin, "plan", "-fig", "14",
 		"-workloads", "gcc,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
 		"-shards", "1", "-out", manifest)
-
-	// A short lease so the orphaned job is re-claimable within the
-	// test's patience, but still far above one job's wall time.
-	url := startCached(t, cachedBin,
-		"-manifest", manifest, "-store-dir", filepath.Join(dir, "store"),
-		"-addr", "127.0.0.1:0", "-lease", "1s")
-
-	// The doomed worker: single goroutine, so it always holds exactly
-	// one lease while alive.
-	doomed := exec.Command(sweepBin, "work", "-server", url, "-name", "doomed", "-workers", "1", "-manifest", manifest)
-	doomed.Dir = dir
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
+	if out, err := planCmd.CombinedOutput(); err != nil {
+		t.Fatalf("plan: %v\n%s", err, out)
 	}
-	defer func() {
-		doomed.Process.Kill()
-		doomed.Wait()
-	}()
-
-	// Kill it the moment it demonstrably holds a lease (and before the
-	// queue could possibly drain).
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := queueStatus(t, url)
-		if st["leased"].(float64) >= 1 {
-			break
-		}
-		if st["done"].(float64) >= 6 {
-			t.Fatal("queue drained before the worker could be killed; raise -instructions")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never claimed a job: %v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := doomed.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	doomed.Wait()
-
-	// The rescuer finishes everything, including the orphaned job once
-	// its lease expires.
-	rescue := run("work", "-server", url, "-name", "rescuer", "-manifest", manifest)
-	t.Logf("rescuer: %s", rescue)
-
-	st := queueStatus(t, url)
-	if done := st["done"].(float64); done != 6 { // 2 workloads × (baseline + 2 configs)
-		t.Errorf("queue reports %v jobs done after rescue, want 6", done)
-	}
-	if requeues := st["requeues"].(float64); requeues < 1 {
-		t.Errorf("no lease was requeued (requeues = %v); the kill exercised nothing", requeues)
-	}
-
-	results := filepath.Join(dir, "results.json")
-	run("merge", "-server", url, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
-	gotRows := loadFigureRows(t, results, "14")
 	want := singleProcessFig14(t, workloads, instructions)
-	if !reflect.DeepEqual(want, gotRows) {
-		t.Errorf("post-kill merged rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
+
+	for _, tc := range []struct {
+		step                 string
+		requeues, reconciled float64
+	}{
+		{killAfterClaim, 1, 0},
+		{killAfterPut, 0, 1},
+	} {
+		t.Run(tc.step, func(t *testing.T) {
+			sub := filepath.Join(dir, tc.step)
+			run := func(args ...string) string {
+				t.Helper()
+				cmd := exec.Command(sweepBin, args...)
+				cmd.Dir = dir
+				out, err := cmd.CombinedOutput()
+				if err != nil {
+					t.Fatalf("rowswap-sweep %v: %v\n%s", args, err, out)
+				}
+				return string(out)
+			}
+			// The lease bounds how long the orphaned job waits; live
+			// workers renew it every third of it.
+			url := startCached(t, cachedBin,
+				"-manifest", manifest, "-store-dir", filepath.Join(sub, "store"),
+				"-addr", "127.0.0.1:0", "-lease", "2s")
+			runDoomedWorker(t, dir, sweepBin, url, manifest, tc.step, func(objstore.Claim) bool { return true })
+
+			// The rescuer finishes everything, including the orphaned
+			// job once its lease expires.
+			rescue := run("work", "-server", url, "-name", "rescuer", "-manifest", manifest)
+			t.Logf("rescuer: %s", rescue)
+
+			st := queueStatus(t, url)
+			if done := st["done"].(float64); done != 6 { // 2 workloads × (baseline + 2 configs)
+				t.Errorf("queue reports %v jobs done after rescue, want 6", done)
+			}
+			if got := st["requeues"].(float64); got != tc.requeues {
+				t.Errorf("requeues = %v, want %v", got, tc.requeues)
+			}
+			if got := st["store_reconciled"].(float64); got != tc.reconciled {
+				t.Errorf("store_reconciled = %v, want %v", got, tc.reconciled)
+			}
+
+			results := filepath.Join(sub, "results.json")
+			run("merge", "-server", url, "-manifest", manifest,
+				"-merged-dir", filepath.Join(sub, "merged"), "-out", results)
+			if gotRows := loadFigureRows(t, results, "14"); !reflect.DeepEqual(want, gotRows) {
+				t.Errorf("post-kill merged rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
+			}
+		})
 	}
 }
 
@@ -593,8 +714,8 @@ func TestServerTwoManifestsConcurrently(t *testing.T) {
 	if done := stB["done"].(float64); done != jobsB {
 		t.Errorf("manifest B: %v done, want %d", done, jobsB)
 	}
-	claimedA := stA["claimed"].(map[string]any)
-	claimedB := stB["claimed"].(map[string]any)
+	claimedA := claimsByWorker(stA)
+	claimedB := claimsByWorker(stB)
 	if len(claimedA) != 1 || claimedA["wa"] == nil || claimedA["wa"].(float64) != jobsA {
 		t.Errorf("manifest A claims crossed namespaces: %v", claimedA)
 	}

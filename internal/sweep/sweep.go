@@ -37,11 +37,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/config"
@@ -52,12 +49,13 @@ import (
 
 // ManifestSchema invalidates manifests written by incompatible versions
 // of this package. Schema 3 adds generic job kinds and the security
-// section; schema-2 manifests (perf-only, every job a simulation) are
-// still accepted unchanged — see validateStructure.
+// section. Results files of the perf-only schema 2 still render (see
+// Results.Render); manifests of any other schema are rejected, since
+// no worker of this build could run them past the binary-fingerprint
+// gate anyway.
 const ManifestSchema = 3
 
-// Job kinds. An empty Kind means JobKindSim: schema-2 manifests carry
-// no kind field, and schema-3 perf jobs omit it for the same bytes.
+// Job kinds. An empty Kind means JobKindSim: perf jobs omit the field.
 const (
 	// JobKindSim: the job is one deduplicated simulation cell of the
 	// performance evaluation, keyed by simcache.RunKey.
@@ -101,8 +99,7 @@ const (
 // baseline, any config recurring across figures — appears exactly once,
 // with Workload and Label taken from its first occurrence.
 type Job struct {
-	// Kind is the job kind: JobKindSim (or "", its schema-2 spelling)
-	// or JobKindMC.
+	// Kind is the job kind: JobKindSim (or "") or JobKindMC.
 	Kind string `json:"kind,omitempty"`
 	// Workload names the trace workload (row of the matrix). Monte-
 	// Carlo jobs carry the fixed pseudo-workload "monte-carlo" so
@@ -143,7 +140,7 @@ type MCRef struct {
 }
 
 // kind resolves the job's kind, treating the empty string as
-// JobKindSim (the schema-2 spelling).
+// JobKindSim.
 func (j Job) kind() string {
 	if j.Kind == "" {
 		return JobKindSim
@@ -543,28 +540,21 @@ func (m *Manifest) perfOptions() report.PerfOptions {
 	return report.PerfOptions{Workloads: m.Workloads, Cores: m.Cores, Sim: m.Sim}
 }
 
-// validateStructure checks the manifest's internal consistency without
-// re-deriving any plan: schema, shard assignments, key uniqueness, job
-// kinds, the figure fan-out maps, and the security section's batch
-// coverage. Every failure is an operator-actionable error — these are
-// the mistakes a hand-edited or corrupted manifest, or a mismatched
-// -shards between plan and workers, actually produces. Schema-2
-// manifests (perf-only, planned before generic job kinds existed) are
-// accepted unchanged.
-func (m *Manifest) validateStructure() error {
-	switch m.Schema {
-	case ManifestSchema:
-	case 2:
-		if m.Security != nil {
-			return fmt.Errorf("sweep: manifest declares schema 2 but carries a security section; schema 2 is perf-only — re-run plan with this build to get a schema-%d manifest", ManifestSchema)
-		}
-		for i, j := range m.Jobs {
-			if j.Kind != "" || j.MC != nil {
-				return fmt.Errorf("sweep: manifest declares schema 2 but job %d (%s) carries a job kind; schema 2 is perf-only — re-run plan with this build", i, j.desc())
-			}
-		}
-	default:
-		return fmt.Errorf("sweep: manifest schema %d, this build expects %d (or a perf-only schema-2 manifest); re-run plan with this build — schema 1 single-figure manifests predate evaluation-wide planning", m.Schema, ManifestSchema)
+// ValidateStructure checks the manifest's internal consistency without
+// re-deriving any plan and without the binary-fingerprint gate:
+// schema, shard assignments, key uniqueness, job kinds, the figure
+// fan-out maps, and the security section's batch coverage. Every
+// failure is an operator-actionable error — these are the mistakes a
+// hand-edited or corrupted manifest, or a mismatched -shards between
+// plan and workers, actually produces. The store daemon
+// (cmd/rowswap-cached) calls it directly: the daemon is a different
+// executable than the planner by construction, and it never interprets
+// a job beyond its key, so the fingerprint check belongs to the workers
+// and the merge stage — the processes that actually simulate or
+// assemble rows.
+func (m *Manifest) ValidateStructure() error {
+	if m.Schema != ManifestSchema {
+		return fmt.Errorf("sweep: manifest schema %d, this build expects %d; re-run plan with this build", m.Schema, ManifestSchema)
 	}
 	if m.Shards < 1 {
 		return fmt.Errorf("sweep: manifest declares %d shards; a sweep needs at least 1", m.Shards)
@@ -749,7 +739,7 @@ func (p plan) run(m *Manifest, ji int, s simcache.Store) (bool, error) {
 // this process writes or reads could line up with it, so expansion
 // fails loudly instead.
 func (m *Manifest) expand() (plan, error) {
-	if err := m.validateStructure(); err != nil {
+	if err := m.ValidateStructure(); err != nil {
 		return plan{}, err
 	}
 	if got := simcache.CodeVersion(); m.Binary != got {
@@ -767,7 +757,7 @@ func (m *Manifest) expand() (plan, error) {
 // which is what a different binary folding results BY THE MANIFEST'S
 // OWN KEYS needs — the deduplicated job set is identical across builds
 // because the fingerprint is a common component of every key.
-// validateStructure must have passed before calling.
+// ValidateStructure must have passed before calling.
 func (m *Manifest) derivePlans(checkKeys bool) (plan, error) {
 	var p plan
 	nSim := 0
@@ -889,16 +879,6 @@ func (m *Manifest) Validate() error {
 	return err
 }
 
-// ValidateStructure checks the manifest's internal consistency without
-// the binary-fingerprint gate. The store daemon (cmd/rowswap-cached)
-// uses it: the daemon is a different executable than the planner by
-// construction, and it never interprets a job beyond its key, so the
-// fingerprint check belongs to the workers and the merge stage — the
-// processes that actually simulate or assemble rows.
-func (m *Manifest) ValidateStructure() error {
-	return m.validateStructure()
-}
-
 // Save writes the manifest as indented JSON.
 func (m *Manifest) Save(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -937,110 +917,44 @@ type ShardStats struct {
 // so they are spread over a pool of workers goroutines (0 = one per
 // CPU) without affecting any result.
 func (m *Manifest) RunShard(shard int, cacheDir string, workers int, progress io.Writer) (ShardStats, error) {
-	var stats ShardStats
 	p, err := m.expand()
 	if err != nil {
-		return stats, err
+		return ShardStats{}, err
 	}
 	if shard < 0 || shard >= m.Shards {
-		return stats, fmt.Errorf("sweep: shard %d out of range [0, %d)", shard, m.Shards)
+		return ShardStats{}, fmt.Errorf("sweep: shard %d out of range [0, %d)", shard, m.Shards)
 	}
 	cache, err := simcache.Open(cacheDir)
 	if err != nil {
-		return stats, fmt.Errorf("sweep: cache dir: %w", err)
+		return ShardStats{}, fmt.Errorf("sweep: cache dir: %w", err)
 	}
-
-	mine := m.shardJobs(shard)
-	stats.Jobs = len(mine)
-	exec := func(ji int) (bool, error) { return p.run(m, ji, cache) }
-	stats.Hits, err = m.runJobPool(mine, workers, progress, fmt.Sprintf("shard %d", shard), exec)
-	return stats, err
-}
-
-// shardJobs lists the manifest job indices assigned to shard.
-func (m *Manifest) shardJobs(shard int) []int {
 	var mine []int
 	for i, j := range m.Jobs {
 		if j.Shard == shard {
 			mine = append(mine, i)
 		}
 	}
-	return mine
+	run := func(ji int) (bool, error) { return p.run(m, ji, cache) }
+	_, hits, err := m.execute(listSource(mine), workers, len(mine), fmt.Sprintf("shard %d", shard), progress, run)
+	return ShardStats{Jobs: len(mine), Hits: hits}, err
 }
 
-// runJobPool spreads exec over the given manifest job indices on a
-// pool of workers goroutines (0 = one per CPU), stopping at the first
-// error. Jobs are independent and deterministic, so the pool affects
-// wall time only, never any result. It returns how many jobs exec
-// reported as store/cache hits.
-func (m *Manifest) runJobPool(indices []int, workers int, progress io.Writer, who string, exec func(ji int) (bool, error)) (int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(indices) {
-		workers = len(indices)
-	}
-	progress = syncProgress(progress)
-	var (
-		cursor  atomic.Int64
-		hits    atomic.Int64
-		failed  atomic.Bool
-		firstMu sync.Mutex
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(cursor.Add(1))
-				if k >= len(indices) || failed.Load() {
-					return
-				}
-				ji := indices[k]
-				hit, err := exec(ji)
-				if err != nil {
-					firstMu.Lock()
-					if firstE == nil {
-						firstE = fmt.Errorf("sweep: %s: %s: %w", who, m.Jobs[ji].desc(), err)
-					}
-					firstMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				if hit {
-					hits.Add(1)
-				}
-				if progress != nil {
-					state := "simulated"
-					if hit {
-						state = "cached"
-					}
-					fmt.Fprintf(progress, "  %s: %-30s %s\n", who, m.Jobs[ji].desc(), state)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstE != nil {
-		return int(hits.Load()), firstE
-	}
-	return int(hits.Load()), nil
-}
-
-// Merge unions the worker cache directories into mergedDir, audits that
-// every manifest job has a valid result, and reconstructs every covered
-// figure's normalized rows from the single merged result set via the
-// manifest's fan-out maps. The assembly arithmetic is
-// report.MatrixPlan.Rows — the same code the in-process matrix uses —
-// so each figure's merged rows are bit-identical to a single-process
-// run. Measured-cost sidecars of the worker directories are merged too,
-// so a later plan against mergedDir can shard by measured wall time.
-// When pack is true the merged loose entries are folded into a packed
-// shard index ("shard-index.pack") so later readers of mergedDir pay
-// one file scan instead of thousands of opens.
+// Merge folds every manifest job's result into the covered figures'
+// rows, reading through a cache at mergedDir: an entry missing there
+// is copied verbatim from the first worker directory that holds a
+// valid one, so mergedDir ends up holding exactly the manifest's
+// entries. It audits that every job has a valid result and
+// reconstructs every covered figure's rows via the manifest's fan-out
+// maps. The assembly arithmetic is report.MatrixPlan.Rows — the same
+// code the in-process matrix uses — and batch tallies fold exactly, so
+// each figure's merged rows are bit-identical to a single-process run
+// in any fold order. Measured-cost sidecars of the worker directories
+// are merged too, so a later plan against mergedDir can shard by
+// measured wall time. When pack is true the merged loose entries are
+// folded into a packed shard index ("shard-index.pack") so later
+// readers of mergedDir pay one file scan instead of thousands of
+// opens. A stored tally that decodes but violates its invariants fails
+// the merge loudly — corrupt data never folds in.
 func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progress io.Writer) (*Results, error) {
 	p, err := m.expand()
 	if err != nil {
@@ -1050,58 +964,29 @@ func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progr
 	if err != nil {
 		return nil, fmt.Errorf("sweep: merged dir: %w", err)
 	}
-	for _, dir := range workerDirs {
-		n, err := cache.ImportDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: import %s: %w", dir, err)
+	workers := make([]*simcache.Cache, len(workerDirs))
+	for i, dir := range workerDirs {
+		// Open would create a missing directory; a worker directory
+		// that does not exist is an operator error, not an empty shard.
+		if _, err := os.Stat(dir); err != nil {
+			return nil, fmt.Errorf("sweep: worker dir: %w", err)
 		}
-		nc := cache.Costs().ImportFrom(dir)
-		if progress != nil {
-			fmt.Fprintf(progress, "  imported %d entries (+%d measured costs) from %s\n", n, nc, dir)
+		if workers[i], err = simcache.Open(dir); err != nil {
+			return nil, fmt.Errorf("sweep: worker dir: %w", err)
 		}
-	}
-	return m.assemble(p, cache, pack, progress)
-}
-
-// assemble audits that the merged cache holds a valid result for every
-// manifest job, reconstructs every covered figure's rows via the
-// fan-out maps — simulation results into performance rows, batch
-// tallies folded per security cell into MonteCarloResult rows — and
-// optionally packs the loose entries. It is the shared tail of both
-// merge transports (worker directories and the HTTP store). Tally
-// folding is exact (attack.Tally merges over integer accumulators), so
-// the security rows are bit-identical to a single-process oracle run
-// of the same seeded trial stream, whatever order workers completed
-// the batches in. A stored tally that decodes but violates its
-// invariants fails the merge loudly — corrupt data never folds in.
-func (m *Manifest) assemble(p plan, cache *simcache.Cache, pack bool, progress io.Writer) (*Results, error) {
-	acc := m.newAccumulator(p)
-	for ji := range m.Jobs {
-		if _, err := acc.FoldJob(ji, cache); err != nil {
-			return nil, err
+		if nc := cache.Costs().ImportFrom(dir); progress != nil {
+			fmt.Fprintf(progress, "  imported %d measured costs from %s\n", nc, dir)
 		}
 	}
-	if missing := acc.Missing(); len(missing) > 0 {
-		if len(missing) > 8 {
-			missing = append(missing[:8], fmt.Sprintf("… and %d more", len(missing)-8))
+	fetch := func(key string) ([]byte, bool, error) {
+		for _, w := range workers {
+			if data, ok := w.GetRaw(key); ok {
+				return data, true, nil
+			}
 		}
-		return nil, fmt.Errorf("sweep: merge incomplete, %d of %d results missing:\n  %s",
-			len(missing), len(m.Jobs), strings.Join(missing, "\n  "))
+		return nil, false, nil
 	}
-	out, _, err := acc.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if pack {
-		n, err := cache.PackLoose("shard-index")
-		if err != nil {
-			return nil, fmt.Errorf("sweep: pack merged entries: %w", err)
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "  packed %d entries into shard-index.pack\n", n)
-		}
-	}
-	return out, nil
+	return m.fold(p, cache, fetch, pack, progress)
 }
 
 // FigureResults is one figure's reconstructed rows, ready to render.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -303,6 +304,8 @@ func TestValidateRejectsCorruptManifests(t *testing.T) {
 	}{
 		{"stale schema", func(m *Manifest) { m.Schema = 1 },
 			[]string{"schema 1", "re-run plan"}},
+		{"schema 2", func(m *Manifest) { m.Schema = 2 },
+			[]string{"schema 2", "re-run plan"}},
 		{"zero shards", func(m *Manifest) { m.Shards = 0 },
 			[]string{"0 shards", "at least 1"}},
 		{"no figures", func(m *Manifest) { m.Figures = nil },
@@ -517,6 +520,84 @@ func TestMergeReportsMissingShard(t *testing.T) {
 	}
 	if got := err.Error(); !strings.Contains(got, "shard 1") {
 		t.Errorf("merge error does not name the missing shard: %v", err)
+	}
+}
+
+// TestMergeCopiesOnlyValidManifestEntries pins the merge's copy path:
+// worker directories holding a packed index, a checksum-corrupted loose
+// copy of a manifest entry, and a stray entry of another sweep still
+// merge bit-identically to a clean merge; the merged directory ends up
+// with exactly the manifest's entries, each byte-identical to the
+// worker's valid copy; and a missing worker directory fails the merge.
+func TestMergeCopiesOnlyValidManifestEntries(t *testing.T) {
+	m := mustPlan(t, 2, StrategyRoundRobin)
+	base := t.TempDir()
+	w0, w1 := filepath.Join(base, "w0"), filepath.Join(base, "w1")
+	for shard, dir := range []string{w0, w1} {
+		if _, err := m.RunShard(shard, dir, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := m.Merge(filepath.Join(base, "clean"), []string{w0, w1}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// w0: every entry packed. w1: a corrupt loose copy of one of w0's
+	// entries (payload byte flipped, so only the checksum catches it)
+	// and a valid entry no manifest job references.
+	c0, err := simcache.Open(w0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := m.Jobs[0].Key // round-robin deals job 0 to shard 0
+	valid, ok := c0.GetRaw(victim)
+	if !ok {
+		t.Fatal("worker 0 lacks its own entry")
+	}
+	if n, err := c0.PackLoose("shard"); err != nil || n == 0 {
+		t.Fatalf("pack worker 0: %d entries, %v", n, err)
+	}
+	corrupt := append([]byte(nil), valid...)
+	i := bytes.LastIndexAny(corrupt, "123456789")
+	corrupt[i] = '0'
+	if err := os.WriteFile(filepath.Join(w1, victim+".json"), corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stray := simcache.Key("another sweep")
+	c1, err := simcache.Open(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Put(stray, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	merged := filepath.Join(base, "merged")
+	got, err := m.Merge(merged, []string{w1, w0}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("merge over packed and corrupt worker dirs differs from a clean merge")
+	}
+	entries, err := filepath.Glob(filepath.Join(merged, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(m.Jobs) {
+		t.Errorf("merged dir holds %d entries, want exactly the manifest's %d", len(entries), len(m.Jobs))
+	}
+	if _, err := os.Stat(filepath.Join(merged, stray+".json")); !os.IsNotExist(err) {
+		t.Error("an entry no manifest job references was copied into the merged dir")
+	}
+	if copied, err := os.ReadFile(filepath.Join(merged, victim+".json")); err != nil ||
+		!bytes.Equal(bytes.TrimSpace(copied), valid) {
+		t.Errorf("merged copy of the corrupted entry is not the valid worker bytes: %v\n%s", err, copied)
+	}
+
+	if _, err := m.Merge(filepath.Join(base, "merged2"), []string{w0, filepath.Join(base, "w9")}, false, nil); err == nil {
+		t.Error("merge over a missing worker directory succeeded")
 	}
 }
 

@@ -5,23 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/objstore"
 	"repro/internal/simcache"
 )
 
-// This file is the networked side of the sweep: workers that push and
-// pull results through a rowswap-cached store daemon (internal/
-// objstore) instead of local cache directories, a work-stealing
-// execution mode that claims jobs from the daemon's queue instead of
-// honoring plan-time shard assignments, and a merge transport that
-// pulls the result set over HTTP. Together they make a multi-machine
-// run of the evaluation need no filesystem interchange at all: ship
-// the binary, start the daemon, point workers at it.
+// This file is the networked side of the sweep: a work-stealing worker
+// that claims jobs from a rowswap-cached store daemon (internal/
+// objstore) and pushes results to it instead of honoring plan-time
+// shard assignments, and a merge that pulls the result set over HTTP.
+// Together they make a multi-machine run of the evaluation need no
+// filesystem interchange at all: ship the binary, start the daemon,
+// point workers at it.
 
 // QueueJobs converts the manifest's deduplicated job set into the
 // object store's claimable queue entries, in manifest order — a
@@ -33,28 +29,6 @@ func (m *Manifest) QueueJobs() []objstore.QueueJob {
 		jobs[i] = objstore.QueueJob{Key: j.Key, Workload: j.Workload, Label: j.Label}
 	}
 	return jobs
-}
-
-// RunShardServer executes every job of the given shard against the
-// HTTP store: results are pulled from and pushed to the daemon the
-// moment they exist, so the worker machine needs no cache directory
-// and nothing is copied afterwards. The plan-time shard assignment is
-// honored exactly as RunShard would — this is the drop-in transport
-// swap; see RunWork for the mode that also replaces the sharding.
-func (m *Manifest) RunShardServer(shard int, client *objstore.Client, workers int, progress io.Writer) (ShardStats, error) {
-	var stats ShardStats
-	p, err := m.expand()
-	if err != nil {
-		return stats, err
-	}
-	if shard < 0 || shard >= m.Shards {
-		return stats, fmt.Errorf("sweep: shard %d out of range [0, %d)", shard, m.Shards)
-	}
-	mine := m.shardJobs(shard)
-	stats.Jobs = len(mine)
-	exec := func(ji int) (bool, error) { return p.run(m, ji, client) }
-	stats.Hits, err = m.runJobPool(mine, workers, progress, fmt.Sprintf("shard %d", shard), exec)
-	return stats, err
 }
 
 // WorkStats reports what a RunWork invocation did.
@@ -111,6 +85,64 @@ func heartbeatLease(client *objstore.Client, job int, lease, worker string, leas
 	}
 }
 
+// queueSource claims jobs from the daemon's queue for worker, polling
+// with backoff while every remaining job is leased elsewhere. Each
+// granted claim is checked against the manifest and heartbeated until
+// the executor ends it; a job that ran is then completed.
+func (m *Manifest) queueSource(client *objstore.Client, worker string) source {
+	return func() (claim, bool, error) {
+		backoff := minClaimWait
+		for {
+			resp, err := client.ClaimJob(worker)
+			if err != nil {
+				return claim{}, false, fmt.Errorf("claim: %w", err)
+			}
+			switch resp.Status {
+			case objstore.ClaimDone:
+				return claim{}, false, nil
+			case objstore.ClaimWait:
+				limit := time.Duration(resp.RetryMS) * time.Millisecond
+				if limit <= 0 || limit > maxClaimWait {
+					limit = maxClaimWait
+				}
+				if backoff > limit {
+					backoff = limit
+				}
+				time.Sleep(backoff)
+				if backoff < limit {
+					backoff *= 2
+				}
+				continue
+			}
+			c := resp.Claim
+			if c.Job < 0 || c.Job >= len(m.Jobs) || m.Jobs[c.Job].Key != c.Key {
+				return claim{}, false, fmt.Errorf("claimed job %d (key %.12s…) does not match the manifest — the daemon was started with a different plan", c.Job, c.Key)
+			}
+			// Renew the lease while the job runs: job time is unbounded
+			// (and uncalibrated across hosts), the lease is not. Stopped
+			// before Complete — a completed job needs no lease.
+			stop := make(chan struct{})
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				heartbeatLease(client, c.Job, c.Lease, worker, c.LeaseSeconds, stop)
+			}()
+			end := func(ok bool) error {
+				close(stop)
+				<-stopped
+				if !ok {
+					return nil
+				}
+				if err := client.Complete(c.Job, c.Lease, worker); err != nil {
+					return fmt.Errorf("complete: %w", err)
+				}
+				return nil
+			}
+			return claim{ji: c.Job, end: end}, true, nil
+		}
+	}
+}
+
 // RunWork is the work-stealing worker entry point: claim a job from
 // the daemon's queue, simulate it, push the result, complete the
 // claim, repeat until the queue reports the evaluation done. Shard
@@ -125,126 +157,25 @@ func heartbeatLease(client *objstore.Client, job int, lease, worker string, leas
 // manifest before anything runs, so a queue that does not match the
 // plan fails loudly instead of simulating the wrong cell.
 func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines int, progress io.Writer) (WorkStats, error) {
-	var stats WorkStats
 	p, err := m.expand()
 	if err != nil {
-		return stats, err
+		return WorkStats{}, err
 	}
 	if worker == "" {
-		return stats, fmt.Errorf("sweep: a work-stealing worker needs a name (it identifies leases and per-worker stats)")
+		return WorkStats{}, fmt.Errorf("sweep: a work-stealing worker needs a name (it identifies leases and per-worker stats)")
 	}
-	if goroutines <= 0 {
-		goroutines = runtime.GOMAXPROCS(0)
-	}
-	if goroutines > len(m.Jobs) {
-		goroutines = len(m.Jobs)
-	}
-	progress = syncProgress(progress)
-	var (
-		mu                       sync.Mutex
-		firstE                   error
-		wg                       sync.WaitGroup
-		claimed, simulated, hits int
-	)
-	fail := func(err error) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstE == nil {
-			firstE = err
-		}
-		return firstE != nil
-	}
-	for n := 0; n < goroutines; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			backoff := minClaimWait
-			for {
-				if fail(nil) {
-					return
-				}
-				resp, err := client.ClaimJob(worker)
-				if err != nil {
-					fail(fmt.Errorf("sweep: worker %s: claim: %w", worker, err))
-					return
-				}
-				switch resp.Status {
-				case objstore.ClaimDone:
-					return
-				case objstore.ClaimWait:
-					limit := time.Duration(resp.RetryMS) * time.Millisecond
-					if limit <= 0 || limit > maxClaimWait {
-						limit = maxClaimWait
-					}
-					if backoff > limit {
-						backoff = limit
-					}
-					time.Sleep(backoff)
-					if backoff < limit {
-						backoff *= 2
-					}
-					continue
-				}
-				backoff = minClaimWait
-				claim := resp.Claim
-				if claim.Job < 0 || claim.Job >= len(m.Jobs) || m.Jobs[claim.Job].Key != claim.Key {
-					fail(fmt.Errorf("sweep: worker %s: claimed job %d (key %.12s…) does not match the manifest — the daemon was started with a different plan", worker, claim.Job, claim.Key))
-					return
-				}
-				// Renew the lease while the job runs: job time is
-				// unbounded (and uncalibrated across hosts), the lease is
-				// not. Stopped before Complete — a completed job needs no
-				// lease.
-				stopHB := make(chan struct{})
-				hbDone := make(chan struct{})
-				go func() {
-					defer close(hbDone)
-					heartbeatLease(client, claim.Job, claim.Lease, worker, claim.LeaseSeconds, stopHB)
-				}()
-				hit, err := p.run(m, claim.Job, client)
-				close(stopHB)
-				<-hbDone
-				if err != nil {
-					fail(fmt.Errorf("sweep: worker %s: %s: %w", worker, m.Jobs[claim.Job].desc(), err))
-					return
-				}
-				if err := client.Complete(claim.Job, claim.Lease, worker); err != nil {
-					fail(fmt.Errorf("sweep: worker %s: complete %s: %w", worker, m.Jobs[claim.Job].desc(), err))
-					return
-				}
-				mu.Lock()
-				claimed++
-				if hit {
-					hits++
-				} else {
-					simulated++
-				}
-				mu.Unlock()
-				if progress != nil {
-					state := "simulated"
-					if hit {
-						state = "from store"
-					}
-					fmt.Fprintf(progress, "  %s: %-30s %s\n", worker, m.Jobs[claim.Job].desc(), state)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	stats = WorkStats{Claimed: claimed, Simulated: simulated, Hits: hits}
-	if firstE != nil {
-		return stats, firstE
-	}
-	return stats, nil
+	run := func(ji int) (bool, error) { return p.run(m, ji, client) }
+	done, hits, err := m.execute(m.queueSource(client, worker), goroutines, len(m.Jobs), "worker "+worker, progress, run)
+	return WorkStats{Claimed: done, Simulated: done - hits, Hits: hits}, err
 }
 
-// MergeServer builds the merged result set by pulling every manifest
-// job's entry (and the measured-cost estimates) from the HTTP store
-// into mergedDir, then audits and reconstructs every figure exactly
-// like Merge — same assembly arithmetic, so the rows are bit-identical
-// to a single-process run and to a directory-transport merge. Pulls
-// are idempotent: entries already present locally are not re-fetched,
-// so an interrupted merge resumes where it stopped.
+// MergeServer is Merge with the daemon as the only source: an entry
+// missing from mergedDir is pulled verbatim from the HTTP store, and
+// the daemon's measured-cost estimates are imported too. The fold,
+// audit and rows are Merge's, so they are bit-identical to a
+// single-process run and to a directory-transport merge. Entries
+// already in mergedDir are not re-fetched, so an interrupted merge
+// resumes where it stopped.
 func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack bool, progress io.Writer) (*Results, error) {
 	p, err := m.expand()
 	if err != nil {
@@ -254,69 +185,12 @@ func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack b
 	if err != nil {
 		return nil, fmt.Errorf("sweep: merged dir: %w", err)
 	}
-	// Pulls are independent, idempotent GETs, so a small pool overlaps
-	// the round-trips instead of serializing (job count × RTT) over a
-	// real network. Entry writes are atomic (temp file + rename), so
-	// concurrent PutRaw calls are safe.
-	pullers := mergePullers
-	if pullers > len(m.Jobs) {
-		pullers = len(m.Jobs)
-	}
-	var (
-		cursor  atomic.Int64
-		pulled  atomic.Int64
-		firstMu sync.Mutex
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for n := 0; n < pullers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1))
-				if i >= len(m.Jobs) {
-					return
-				}
-				firstMu.Lock()
-				failed := firstE != nil
-				firstMu.Unlock()
-				if failed {
-					return
-				}
-				j := m.Jobs[i]
-				if cache.Has(j.Key) {
-					continue
-				}
-				data, ok, err := client.GetEntryRaw(j.Key)
-				if err == nil && ok {
-					err = cache.PutRaw(j.Key, data)
-				}
-				if err != nil {
-					firstMu.Lock()
-					if firstE == nil {
-						firstE = fmt.Errorf("sweep: pull result for %s: %w", j.desc(), err)
-					}
-					firstMu.Unlock()
-					return
-				}
-				if ok {
-					pulled.Add(1)
-				}
-				// A miss is left for the audit in assemble, which
-				// reports every missing job at once, with job names.
-			}
-		}()
-	}
-	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
-	}
-	nc := 0
 	costs, err := client.CostsJSONL()
 	if err == nil {
-		nc = cache.Costs().ImportRecords(bytes.NewReader(costs))
+		nc := cache.Costs().ImportRecords(bytes.NewReader(costs))
+		if progress != nil {
+			fmt.Fprintf(progress, "  imported %d measured costs from %s\n", nc, client.Base())
+		}
 	} else if progress != nil {
 		// Cost feedback is an optimization signal, not a correctness
 		// dependency — but a silent drop would make a later
@@ -324,11 +198,5 @@ func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack b
 		// heuristic, so say what happened.
 		fmt.Fprintf(progress, "  warning: measured costs not pulled from %s: %v\n", client.Base(), err)
 	}
-	if progress != nil {
-		fmt.Fprintf(progress, "  pulled %d entries (+%d measured costs) from %s\n", pulled.Load(), nc, client.Base())
-	}
-	return m.assemble(p, cache, pack, progress)
+	return m.fold(p, cache, client.GetEntryRaw, pack, progress)
 }
-
-// mergePullers bounds MergeServer's concurrent entry downloads.
-const mergePullers = 8
