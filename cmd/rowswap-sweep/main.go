@@ -51,13 +51,12 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/sweep"
 )
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-cost-dir DIR] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
+  rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
   rowswap-sweep run-shard -manifest manifest.json -shard I -cache-dir DIR [-workers N] [-progress]
   rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
   rowswap-sweep merge     -manifest manifest.json (-dirs DIR0,DIR1,... | -server URL) -merged-dir DIR [-out results.json] [-no-pack] [-progress]
@@ -100,14 +99,12 @@ func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	fig := fs.String("fig", "", "figure(s) to sweep, comma-separated: performance (4, 12, 14, 15, 16, cmp) and/or security (1a, 6, 7, 10, 13, t1, t4, t5)")
 	all := fs.Bool("all", false, "plan the whole paper: every performance and security figure in one deduplicated manifest")
-	shards := fs.Int("shards", 2, "number of worker shards")
+	shards := fs.Int("shards", 2, "number of worker shards (jobs are dealt round-robin)")
 	trials := fs.Int("trials", 1,
 		fmt.Sprintf("Monte-Carlo trial multiplier: each security cell runs N x %d trials", attack.DefaultTrials))
 	mcSeed := fs.Uint64("mc-seed", report.DefaultSecuritySeed, "Monte-Carlo root seed")
 	mcBatch := fs.Int("mc-batch", 0,
 		fmt.Sprintf("Monte-Carlo trials per batch job (0 = %d)", attack.DefaultBatch))
-	strategy := fs.String("strategy", sweep.StrategyRoundRobin, "job assignment: round-robin or cost")
-	costDir := fs.String("cost-dir", simcache.DefaultDir(), "cache directory whose measured-cost sidecar feeds -strategy cost (empty = static heuristic only)")
 	quick := fs.Bool("quick", false, "use the 12-workload subset")
 	workloads := fs.String("workloads", "", "comma-separated workload subset (overrides -quick; default all 78)")
 	cores := fs.Int("cores", 8, "simulated cores per workload")
@@ -137,20 +134,12 @@ func runPlan(args []string) error {
 	if *workloads != "" {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}
-	po := sweep.PlanOptions{
+	m, err := sweep.PlanEvaluation(figIDs, opt, sweep.PlanOptions{
 		Shards:   *shards,
-		Strategy: *strategy,
-		Log:      os.Stderr,
 		MCTrials: *trials * attack.DefaultTrials,
 		MCBatch:  *mcBatch,
 		MCSeed:   *mcSeed,
-	}
-	if *strategy == sweep.StrategyCost {
-		// Only the cost strategy consults measured costs; round-robin
-		// plans skip the sidecar read entirely.
-		po.Costs = simcache.OpenCostIndex(*costDir)
-	}
-	m, err := sweep.PlanEvaluation(figIDs, opt, po)
+	})
 	if err != nil {
 		return err
 	}
@@ -173,7 +162,7 @@ func runPlan(args []string) error {
 		summary += fmt.Sprintf(" + %d Monte-Carlo batch jobs (%d security figure(s), %d cells x %d trials, seed %#x)",
 			len(m.Jobs)-nSim, len(m.Security.Figures), len(m.Security.Cells), m.Security.Trials, m.Security.Seed)
 	}
-	fmt.Printf("%s over %d shards (%s) -> %s\n", summary, m.Shards, m.Strategy, *out)
+	fmt.Printf("%s over %d shards -> %s\n", summary, m.Shards, *out)
 	return nil
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // Client talks to a rowswap-cached server. It implements
-// simcache.Store (Get/Put/RecordCost), so a sweep worker can execute
+// simcache.Store (Get/Put), so a sweep worker can execute
 // jobs against the network exactly as it would against a local cache
 // directory.
 //
@@ -34,8 +34,8 @@ type Client struct {
 
 	// fingerprint, when non-empty, namespaces the control plane: claim,
 	// complete, heartbeat, status, and manifest go to /m/{fp}/... so one
-	// daemon serves many concurrent sweeps. The data plane (entries,
-	// costs) is content-addressed and therefore shared across tenants.
+	// daemon serves many concurrent sweeps. The data plane (entries)
+	// is content-addressed and therefore shared across tenants.
 	fingerprint string
 
 	// attempts and backoff tune the retry loop; tests shrink them.
@@ -229,22 +229,10 @@ func (c *Client) Put(key string, v any) error {
 	return c.PutEntryRaw(key, data)
 }
 
-// RecordCost implements simcache.Store: push one measured-cost
-// observation. Best-effort by contract — the server folds it into its
-// EWMA estimate, and a lost observation only costs planning accuracy.
-func (c *Client) RecordCost(key string, seconds float64) {
-	line, err := json.Marshal(costLine{Key: key, Seconds: seconds})
-	if err != nil {
-		return
-	}
-	c.do(http.MethodPost, "/v1/costs", line)
-}
-
-// CostsJSONL pulls the server's measured-cost estimates in sidecar
-// line format (simcache.CostIndex.ImportRecords consumes it).
-func (c *Client) CostsJSONL() ([]byte, error) {
-	return c.do(http.MethodGet, "/v1/costs", nil)
-}
+// RecordCost is a no-op: it sends nothing.
+//
+// Deprecated: see simcache.Store.RecordCost.
+func (c *Client) RecordCost(key string, seconds float64) {}
 
 // ManifestJSON fetches the manifest behind the client's namespace (the
 // daemon's default manifest for an unbound client), so a worker

@@ -46,9 +46,9 @@ var ErrLeaseLost = errors.New("objstore: lease is no longer held")
 
 // Queue is the work-stealing core of the store daemon: workers claim
 // the next pending job, run it, push the result, and complete the
-// claim. Unlike plan-time sharding (LPT over estimated costs), the
-// queue absorbs stragglers and heterogeneous machines by construction
-// — a fast worker simply claims more jobs — and a worker killed
+// claim. Unlike plan-time round-robin sharding, the queue absorbs
+// stragglers and heterogeneous machines by construction — a fast
+// worker simply claims more jobs — and a worker killed
 // mid-job only delays its jobs by one lease, because an expired lease
 // returns the job to the pending pool. Live workers renew their leases
 // with Heartbeat, so the lease can sit far below the longest job's

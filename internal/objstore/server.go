@@ -20,15 +20,13 @@
 // a silent worker's lease expires and its job is requeued.
 //
 // Storage is an ordinary simcache directory, so everything downstream
-// — checksummed envelopes, corrupt-entry rejection, packed indexes,
-// measured-cost sidecars with EWMA smoothing — behaves exactly as it
-// does locally, and a store directory can be merged or planned against
-// like any worker cache. The client implements simcache.Store, so
+// — checksummed envelopes, corrupt-entry rejection, packed indexes —
+// behaves exactly as it does locally, and a store directory can be
+// merged like any worker cache. The client implements simcache.Store, so
 // sweep execution code is agnostic to the transport.
 package objstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -52,7 +50,6 @@ import (
 const (
 	maxEntryBytes    = 32 << 20
 	maxControlBytes  = 1 << 16
-	maxCostsBytes    = 64 << 20
 	maxManifestBytes = 32 << 20
 )
 
@@ -216,8 +213,6 @@ func NewServer(cache *simcache.Cache, opt ServerOptions) *Server {
 	s.mux.HandleFunc("GET /v1/manifest", s.handleManifest)
 	s.mux.HandleFunc("GET /v1/entry/{key}", s.handleGetEntry)
 	s.mux.HandleFunc("PUT /v1/entry/{key}", s.handlePutEntry)
-	s.mux.HandleFunc("GET /v1/costs", s.handleGetCosts)
-	s.mux.HandleFunc("POST /v1/costs", s.handlePostCosts)
 	s.mux.HandleFunc("POST /v1/register", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/service", s.handleService)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -493,41 +488,6 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
-func (s *Server) handleGetCosts(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/jsonl")
-	w.Write(s.cache.Costs().Export())
-}
-
-// costLine mirrors the sidecar's line format ({key, seconds}).
-type costLine struct {
-	Key     string  `json:"key"`
-	Seconds float64 `json:"seconds"`
-}
-
-func (s *Server) handlePostCosts(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCostsBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading costs body: %v", err)
-		return
-	}
-	merged := 0
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var c costLine
-		if json.Unmarshal(line, &c) != nil || !validKey(c.Key) || c.Seconds <= 0 {
-			continue
-		}
-		// Record folds repeated observations — from any worker — into
-		// the EWMA estimate, which is the whole point of centralizing
-		// cost feedback.
-		s.cache.Costs().Record(c.Key, c.Seconds)
-		merged++
-	}
-	writeJSON(w, map[string]int{"merged": merged})
-}
-
 // RegisterResponse answers POST /v1/register.
 type RegisterResponse struct {
 	// Fingerprint namespaces the registered manifest: the client's
@@ -778,9 +738,6 @@ type ManifestStatus struct {
 type ServiceStatus struct {
 	Manifests []ManifestStatus       `json:"manifests"`
 	Workers   map[string]WorkerStats `json:"workers"`
-	// CostsObserved is how many distinct jobs have a measured-cost
-	// estimate in the store's sidecar (LPT planning quality signal).
-	CostsObserved int `json:"costs_observed"`
 }
 
 // serviceStatus snapshots every tenant under one view. Worker rows are
@@ -792,7 +749,7 @@ func (s *Server) serviceStatus() ServiceStatus {
 	defaultFP := s.defaultFP
 	s.mu.RUnlock()
 
-	st := ServiceStatus{Workers: map[string]WorkerStats{}, CostsObserved: s.cache.Costs().Len()}
+	st := ServiceStatus{Workers: map[string]WorkerStats{}}
 	for _, fp := range order {
 		tn := s.tenantFor(fp)
 		if tn == nil {
@@ -853,7 +810,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rowswap_store_reconciled %d\n", reconciled)
 	fmt.Fprintf(w, "rowswap_heartbeats %d\n", heartbeats)
 	fmt.Fprintf(w, "rowswap_workers %d\n", len(st.Workers))
-	fmt.Fprintf(w, "rowswap_costs_observed %d\n", st.CostsObserved)
 	for _, m := range st.Manifests {
 		fmt.Fprintf(w, "rowswap_manifest_done{fingerprint=%q} %d\n", m.Fingerprint, m.Done)
 		fmt.Fprintf(w, "rowswap_manifest_jobs{fingerprint=%q} %d\n", m.Fingerprint, m.Jobs)

@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,38 +100,6 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	other := simcache.Key("other-key")
 	if err := c.PutEntryRaw(other, valid); err == nil {
 		t.Error("envelope uploaded under a mismatched key was accepted")
-	}
-}
-
-// TestServerCostsEWMAAcrossWorkers: repeated observations from
-// different pushers fold into one EWMA estimate, and the export is in
-// sidecar format an index can import.
-func TestServerCostsEWMAAcrossWorkers(t *testing.T) {
-	_, c, cache := newTestServer(t, ServerOptions{})
-	key := testKey(7)
-	c.RecordCost(key, 2.0)
-	c.RecordCost(key, 2.0)
-	c.RecordCost(key, 2.0)
-	s, ok := cache.Costs().Seconds(key)
-	if !ok || s != 2.0 {
-		t.Fatalf("steady observations give %g, want 2.0", s)
-	}
-	c.RecordCost(key, 8.0) // one straggler machine
-	if s, _ = cache.Costs().Seconds(key); s <= 2.0 || s >= 8.0 {
-		t.Fatalf("outlier folded to %g, want strictly between 2 and 8", s)
-	}
-
-	data, err := c.CostsJSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := simcache.OpenCostIndex(t.TempDir())
-	if n := merged.ImportRecords(bytes.NewReader(data)); n != 1 {
-		t.Fatalf("imported %d cost keys from the export, want 1", n)
-	}
-	got, _ := merged.Seconds(key)
-	if got != s {
-		t.Errorf("imported estimate %g != server estimate %g", got, s)
 	}
 }
 

@@ -1,12 +1,8 @@
 package simcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/attack"
 )
@@ -28,26 +24,10 @@ func MCKey(spec attack.TrialSpec, root uint64, batch, trials int) string {
 	return Key("attack.MonteCarlo", spec, root, batch, trials)
 }
 
-// MCCostKey identifies a trial batch for cost-measurement purposes:
-// like CostKey it omits the binary fingerprint and schema, so measured
-// batch costs survive rebuilds and feed later plans' LPT sharding.
-func MCCostKey(spec attack.TrialSpec, trials int) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	enc.Encode("attack.MCCost")
-	for _, p := range []any{spec, trials} {
-		if err := enc.Encode(p); err != nil {
-			io.WriteString(h, "\x00unencodable\x00"+err.Error())
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RunMCBatch is the trial-batch analogue of RunCachedStore: a hit
 // returns the stored tally without running anything, a miss runs the
-// seeded batch, stores its tally (strict put — in a distributed sweep
-// the store is the delivery channel), and records the measured wall
-// time under the build-independent cost key. Stored tallies pass the
+// seeded batch and stores its tally (strict put — in a distributed
+// sweep the store is the delivery channel). Stored tallies pass the
 // strict decoder on the way out; an entry whose envelope checksums but
 // whose tally violates its invariants is treated as a miss and
 // recomputed, never returned.
@@ -62,9 +42,7 @@ func RunMCBatch(s Store, spec attack.TrialSpec, root uint64, batch, trials int) 
 			return t, true, nil
 		}
 	}
-	start := time.Now()
 	t := spec.RunBatch(root, batch, trials)
-	wall := time.Since(start).Seconds()
 	payload, err := attack.EncodeTally(t)
 	if err != nil {
 		return attack.Tally{}, false, fmt.Errorf("simcache: encode tally for key %.12s…: %w", key, err)
@@ -72,7 +50,6 @@ func RunMCBatch(s Store, spec attack.TrialSpec, root uint64, batch, trials int) 
 	if err := s.Put(key, json.RawMessage(payload)); err != nil {
 		return attack.Tally{}, false, fmt.Errorf("simcache: store tally for key %.12s…: %w", key, err)
 	}
-	s.RecordCost(MCCostKey(spec, trials), NormalizeCost(wall))
 	return t, false, nil
 }
 

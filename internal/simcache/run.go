@@ -41,12 +41,8 @@ func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (
 		return nil, false, err
 	}
 	// Storing is best-effort: a full disk or read-only cache directory
-	// must not fail a successful simulation. The measured wall time goes
-	// to the cost sidecar — normalized into reference-host seconds so
-	// estimates from heterogeneous machines stay comparable — so later
-	// sweep plans can shard by it.
+	// must not fail a successful simulation.
 	_ = c.Put(key, res)
-	c.Costs().Record(CostKey(w, sys, opt), NormalizeCost(res.WallSeconds))
 	return res, false, nil
 }
 

@@ -84,7 +84,7 @@ func TestSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,mcf,gups", "-cores", "2",
 		"-instructions", "200000", "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-cost-dir", "", "-out", manifest)
+		"-shards", "2", "-out", manifest)
 
 	w0 := filepath.Join(dir, "w0")
 	w1 := filepath.Join(dir, "w1")
@@ -181,7 +181,7 @@ func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	// `plan -all` also spans the security figures.
 	perFigure := 0
 	for _, id := range report.PerfFigureIDs() {
-		fm, err := Plan(id, opt, 2, StrategyRoundRobin)
+		fm, err := Plan(id, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,6 @@ import (
 func secPlanOpts(shards int) PlanOptions {
 	return PlanOptions{
 		Shards:   shards,
-		Strategy: StrategyRoundRobin,
 		MCTrials: 9,
 		MCBatch:  4,
 		MCSeed:   0x51,
@@ -108,7 +107,7 @@ func TestPlanMixedManifest(t *testing.T) {
 // saved perf-only merge stays readable across builds. (Schema-2
 // manifests are rejected: no worker of this build could run one.)
 func TestSchema2ResultsStillRender(t *testing.T) {
-	m := mustPlan(t, 1, StrategyRoundRobin)
+	m := mustPlan(t, 1)
 	dir := t.TempDir()
 	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
 		t.Fatal(err)

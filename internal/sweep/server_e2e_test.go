@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -161,9 +162,9 @@ func loadFigureRows(t *testing.T, path, fig string) []report.PerfRow {
 // never touch a cache directory, and a `merge -server` pull must
 // reproduce figure 14's PerfRows bit-identically to a single-process
 // run — with zero filesystem interchange between any two processes. It
-// also times the same matrix through the PR 4 pre-sharded LPT path and
-// records both in BENCH_sweep.json's work_stealing section (jobs
-// claimed per worker, wall seconds per mode).
+// also times the same matrix through pre-sharded round-robin run-shard
+// workers and records both in BENCH_sweep.json's work_stealing section
+// (jobs claimed per worker, wall seconds per mode).
 func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	dir := t.TempDir()
 	sweepBin := buildCLI(t, dir, "rowswap-sweep")
@@ -240,34 +241,30 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 		t.Errorf("work-stealing rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
 	}
 
-	// The comparison row: the same matrix through pre-sharded LPT with
-	// filesystem interchange (the PR 4 path), for the BENCH file.
-	lptManifest := filepath.Join(dir, "lpt-manifest.json")
-	run("plan", "-fig", "14",
-		"-workloads", "gcc,mcf,gups", "-cores", "2",
-		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-cost-dir", "", "-out", lptManifest)
-	lptStart := time.Now()
-	runWorkers(t, dir, sweepBin, lptManifest, []string{filepath.Join(dir, "lpt-w0"), filepath.Join(dir, "lpt-w1")})
-	lptSecs := time.Since(lptStart).Seconds()
+	// The comparison row: the same manifest's two round-robin shards
+	// run by two run-shard processes with filesystem interchange, for
+	// the BENCH file.
+	shardStart := time.Now()
+	runWorkers(t, dir, sweepBin, manifest, []string{filepath.Join(dir, "shard-w0"), filepath.Join(dir, "shard-w1")})
+	shardSecs := time.Since(shardStart).Seconds()
 
 	perWorker := map[string]any{}
 	for w, n := range claimed {
 		perWorker[w] = n
 	}
 	writeBenchSection(t, "work_stealing", map[string]any{
-		"benchmark":                   "ServerSweepWorkStealing",
-		"jobs":                        9,
-		"worker_processes":            2,
-		"jobs_claimed_per_worker":     perWorker,
-		"work_stealing_wall_seconds":  stealSecs,
-		"lpt_presharded_wall_seconds": lptSecs,
-		"instructions_per_core":       instructions,
-		"requeues":                    st["requeues"],
+		"benchmark":                  "ServerSweepWorkStealing",
+		"jobs":                       9,
+		"worker_processes":           2,
+		"jobs_claimed_per_worker":    perWorker,
+		"work_stealing_wall_seconds": stealSecs,
+		"presharded_wall_seconds":    shardSecs,
+		"instructions_per_core":      instructions,
+		"requeues":                   st["requeues"],
 	})
 }
 
-// Protocol steps a kill proxy SIGKILLs its worker at.
+// Protocol steps a kill proxy SIGKILLs its victim at.
 const (
 	// killAfterClaim: the worker dies once a matching claim response
 	// has been relayed to it, holding a lease it will never complete
@@ -278,15 +275,22 @@ const (
 	// its acknowledgement never arrives: the expired lease must be
 	// reconciled from the store, not requeued.
 	killAfterPut = "after-put"
+	// killDaemonAfterComplete: the victim is the daemon. It dies once
+	// it has answered the worker's first successful /complete, before
+	// that answer is relayed, so exactly one job was done and stored
+	// when it died.
+	killDaemonAfterComplete = "daemon-after-complete"
 )
 
 // startKillProxy puts a reverse proxy between one worker and the daemon
-// at target and SIGKILLs the worker (the process sent on proc) at the
-// named protocol step. From that step on, every request the worker
-// sends is refused, never relayed, so the daemon sees exactly the
-// protocol prefix the step names. match selects the claim that arms
-// killAfterClaim. killed is closed once the worker has been killed.
-func startKillProxy(t *testing.T, target, step string, match func(objstore.Claim) bool) (url string, proc chan<- *os.Process, killed <-chan struct{}) {
+// at target and SIGKILLs the victim (the process sent on proc: the
+// worker, or the daemon for killDaemonAfterComplete) at the named
+// protocol step. From that step on, every request the worker sends is
+// refused, never relayed, so the daemon sees exactly the protocol
+// prefix the step names. match selects the claim that arms
+// killAfterClaim. killed receives the daemon's jobs-done count, read
+// just before the kill, and is then closed.
+func startKillProxy(t *testing.T, target, step string, match func(objstore.Claim) bool) (url string, proc chan<- *os.Process, killed <-chan float64) {
 	t.Helper()
 	u, err := neturl.Parse(target)
 	if err != nil {
@@ -298,16 +302,35 @@ func startKillProxy(t *testing.T, target, step string, match func(objstore.Claim
 		armed bool // the kill step's trigger has been relayed
 	)
 	procCh := make(chan *os.Process, 1)
-	killedCh := make(chan struct{})
+	killedCh := make(chan float64, 1)
 	kill := func() {
+		done := daemonJobsDone(t, target)
 		if err := (<-procCh).Kill(); err != nil {
 			t.Errorf("kill proxy: %v", err)
 		}
+		killedCh <- done
 		close(killedCh)
 	}
+	errKilled := errors.New("the daemon was killed by the test proxy")
 	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	}
 	rp.ModifyResponse = func(resp *http.Response) error {
-		if step != killAfterClaim || !strings.HasSuffix(resp.Request.URL.Path, "/claim") {
+		path := resp.Request.URL.Path
+		if step == killDaemonAfterComplete && strings.HasSuffix(path, "/complete") && resp.StatusCode == http.StatusOK {
+			// The daemon's whole answer is in; it dies before the
+			// worker can read it.
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return err
+			}
+			mu.Lock()
+			dead = true
+			mu.Unlock()
+			kill()
+			return errKilled
+		}
+		if step != killAfterClaim || !strings.HasSuffix(path, "/claim") {
 			return nil
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -356,6 +379,27 @@ func startKillProxy(t *testing.T, target, step string, match func(objstore.Claim
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL, procCh, killedCh
+}
+
+// daemonJobsDone reads the daemon's jobs-done count over every
+// manifest it serves, or -1 (failing the test) if it cannot.
+func daemonJobsDone(t *testing.T, url string) float64 {
+	resp, err := http.Get(url + "/v1/service")
+	if err != nil {
+		t.Errorf("kill proxy: daemon status: %v", err)
+		return -1
+	}
+	defer resp.Body.Close()
+	var st objstore.ServiceStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Errorf("kill proxy: daemon status: %v", err)
+		return -1
+	}
+	done := 0
+	for _, m := range st.Manifests {
+		done += m.Done
+	}
+	return float64(done)
 }
 
 // runDoomedWorker runs a one-goroutine `work -name doomed` process
@@ -476,16 +520,18 @@ func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 
 // TestServerSweepDaemonRestartMidSweep is the restartable-service
 // acceptance test: a real daemon is SIGKILLed in the middle of a sweep
-// — leases in flight, results half-pushed — and a fresh daemon process
-// over the same store directory must recover the finished jobs from
-// the store (recovered > 0, never re-simulated), let a fresh worker
-// drain the remainder, and merge figures bit-identical to a
-// single-process run. The restarted daemon is started WITHOUT
-// -manifest: the manifest must come back from the store directory's
-// persisted copy alone. It also records the BENCH service row:
-// restart-recovery wall time vs a cold re-run of the same sweep, and
-// heartbeat overhead per worker (the lease sits well below one job's
-// wall time, so live workers demonstrably renew).
+// at a named protocol step — through a kill proxy, once it has
+// answered the worker's first /complete and before that answer reaches
+// the worker — and a fresh daemon process over the same store
+// directory must recover exactly that finished job from the store
+// (recovered == 1, never re-simulated), let a fresh worker drain the
+// remainder, and merge figures bit-identical to a single-process run.
+// The restarted daemon is started WITHOUT -manifest: the manifest must
+// come back from the store directory's persisted copy alone. It also
+// records the BENCH service row: restart-recovery wall time vs a cold
+// re-run of the same sweep, and heartbeat overhead per worker (the
+// lease sits well below one job's wall time, so live workers
+// demonstrably renew).
 func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 	dir := t.TempDir()
 	sweepBin := buildCLI(t, dir, "rowswap-sweep")
@@ -525,45 +571,36 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 		"-manifest", manifest, "-store-dir", store,
 		"-addr", "127.0.0.1:0", "-lease", "250ms")
 
-	// The pre-restart worker: one goroutine so progress is gradual
-	// enough to catch mid-sweep. It will die with the daemon — that
+	// The pre-restart worker: one goroutine, so its first /complete
+	// comes after exactly one stored result. It talks to the daemon
+	// only through the kill proxy and dies with the daemon — that
 	// failure is the point, not a test error.
-	wA := exec.Command(sweepBin, "work", "-server", url1, "-name", "pre-restart", "-workers", "1", "-manifest", manifest)
+	proxyURL, proc, killed := startKillProxy(t, url1, killDaemonAfterComplete, nil)
+	proc <- daemon1.Process
+	wA := exec.Command(sweepBin, "work", "-server", proxyURL, "-name", "pre-restart", "-workers", "1", "-manifest", manifest)
 	wA.Dir = dir
 	if err := wA.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		wA.Process.Kill()
-		wA.Wait()
-	}()
-
-	// Wait until the sweep is demonstrably mid-flight: some jobs done,
-	// some not.
-	deadline := time.Now().Add(60 * time.Second)
+	exited := make(chan error, 1)
+	go func() { exited <- wA.Wait() }()
 	var doneAtKill float64
-	for {
-		st := queueStatus(t, url1)
-		doneAtKill = st["done"].(float64)
-		if doneAtKill >= 1 && doneAtKill < jobs {
-			break
-		}
-		if doneAtKill >= jobs {
-			t.Fatal("sweep finished before the daemon could be killed; raise -instructions")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no job completed in time: %v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case doneAtKill = <-killed:
+	case err := <-exited:
+		t.Fatalf("pre-restart worker exited (%v) before the proxy killed the daemon", err)
+	case <-time.After(2 * time.Minute):
+		wA.Process.Kill()
+		<-exited
+		t.Fatal("the pre-restart worker never completed a job")
 	}
-
-	// SIGKILL the daemon: no shutdown handler runs, every lease and every
+	// SIGKILLed: no shutdown handler ran, every lease and every
 	// done-bit lives only in the store directory now.
-	if err := daemon1.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
 	daemon1.Wait()
-	wA.Wait() // dies on its next daemon round-trip; exit status irrelevant
+	<-exited // the refused worker gives up; exit status irrelevant
+	if doneAtKill != 1 {
+		t.Errorf("daemon had %v jobs done when killed, want exactly 1", doneAtKill)
+	}
 
 	// Restart over the same store, WITHOUT -manifest: recovery must come
 	// from the persisted manifest and the stored entries alone.
@@ -572,11 +609,8 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 		"-store-dir", store, "-addr", "127.0.0.1:0", "-lease", "250ms")
 	st := queueStatusPath(t, url2, "/m/"+fp+"/status")
 	recovered := st["recovered"].(float64)
-	if recovered < 1 {
-		t.Fatalf("restarted daemon recovered %v jobs from the warm store, want > 0 (status %v)", recovered, st)
-	}
-	if recovered < doneAtKill {
-		t.Errorf("recovered %v < %v jobs done at kill time: finished work was forgotten", recovered, doneAtKill)
+	if recovered != 1 {
+		t.Fatalf("restarted daemon recovered %v jobs from the warm store, want exactly the 1 completed before the kill (status %v)", recovered, st)
 	}
 
 	// A fresh worker drains the remainder against the restarted daemon.

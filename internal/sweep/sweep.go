@@ -6,15 +6,15 @@
 // coordinator expands one or more figures into a content-addressed,
 // evaluation-wide job manifest (PlanEvaluation), deduplicates cells
 // that several figures share (every figure's unprotected baseline,
-// recurring mitigation configs), shards the deduplicated set globally
-// — round-robin or LPT over measured-or-estimated costs — hands each
-// shard to a plain worker process that simulates into a persistent
-// result cache (RunShard), and merges the worker cache directories
-// back into every covered figure's normalized-performance rows
-// (Merge). Because every job is keyed with internal/simcache's SHA-256
-// scheme — workload, system, normalized options, and binary
-// fingerprint — the merged rows are bit-identical to a single-process
-// run of each figure, and re-running any stage is idempotent.
+// recurring mitigation configs), deals the deduplicated set
+// round-robin over the shards, hands each shard to a plain worker
+// process that simulates into a persistent result cache (RunShard),
+// and merges the worker cache directories back into every covered
+// figure's normalized-performance rows (Merge). Because every job is
+// keyed with internal/simcache's SHA-256 scheme — workload, system,
+// normalized options, and binary fingerprint — the merged rows are
+// bit-identical to a single-process run of each figure, and re-running
+// any stage is idempotent.
 //
 // Since schema 3 the manifest is generic over job kinds: "run a
 // simulation" and "run a batch of Monte-Carlo attack trials" are two
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -66,31 +65,13 @@ const (
 	JobKindMC = "mc"
 )
 
-// Sharding strategies.
-const (
-	// StrategyRoundRobin deals jobs to shards in plan order. With
-	// uniform per-cell cost (the common case: every cell runs the same
-	// instruction budget) it balances well and keeps each shard's cells
-	// spread across workloads.
-	StrategyRoundRobin = "round-robin"
-	// StrategyCost greedily assigns the most expensive remaining job to
-	// the least-loaded shard (LPT scheduling). Costs come from the
-	// measured-cost sidecar of the planning cache directory when
-	// present (wall-seconds of previous runs, surviving rebuilds) and
-	// fall back to a static estimate; Manifest.CostSource records which.
-	StrategyCost = "cost"
-)
-
-// Cost sources recorded in Manifest.CostSource.
-const (
-	// CostSourceStatic: every job cost is the deterministic static
-	// heuristic (memory intensity × instruction budget).
-	CostSourceStatic = "static-heuristic"
-	// CostSourceMeasured: every job cost is a measured wall-seconds
-	// value from the planning cache's cost sidecar. Partially measured
-	// plans record a descriptive hybrid string instead.
-	CostSourceMeasured = "measured-wall-seconds"
-)
+// StrategyRoundRobin names the one sharding strategy: job i goes to
+// shard i mod Shards.
+//
+// Deprecated: round-robin is the only assignment, so there is nothing
+// to choose. The name stays because the perfbench module compiles
+// against it.
+const StrategyRoundRobin = "round-robin"
 
 // Job is one deduplicated cell of the evaluation: a (workload, system)
 // simulation identified by its content-addressed cache key. Jobs appear
@@ -116,11 +97,8 @@ type Job struct {
 	// the trial spec, root seed, batch index, batch size, and binary
 	// fingerprint for Monte-Carlo batches (simcache.MCKey).
 	Key string `json:"key"`
-	// Cost is the deterministic cost used by StrategyCost's LPT
-	// assignment: measured wall-seconds when the planning cache had
-	// them, otherwise the static estimate (see Manifest.CostSource).
-	Cost float64 `json:"cost"`
-	// Shard is the worker index this job is assigned to.
+	// Shard is the worker index this job is assigned to (job index
+	// mod Manifest.Shards).
 	Shard int `json:"shard"`
 	// MC locates a Monte-Carlo job's batch within the manifest's
 	// security section; nil for simulation jobs.
@@ -192,11 +170,8 @@ type Manifest struct {
 	Cores int `json:"cores"`
 	// Sim carries the normalized simulation options every job runs with.
 	Sim sim.Options `json:"sim"`
-	// Shards is the worker count; Strategy how jobs were assigned;
-	// CostSource where StrategyCost's job costs came from.
-	Shards     int    `json:"shards"`
-	Strategy   string `json:"strategy"`
-	CostSource string `json:"cost_source,omitempty"`
+	// Shards is the worker count jobs are dealt over.
+	Shards int `json:"shards"`
 	// Figures lists the covered performance figures with their fan-out
 	// maps; Jobs is the deduplicated job set they fan out over
 	// (simulation jobs first, in evaluation order, then Monte-Carlo
@@ -239,39 +214,16 @@ type Security struct {
 	Cells   []report.SecurityCell `json:"cells,omitempty"`
 }
 
-// cellCost predicts a cell's relative simulation cost. The event
-// kernel's work scales with the number of memory accesses (one per
-// ~AvgGap instructions per core) plus a per-instruction floor for the
-// batched compute stretches; mitigated runs pay a small surcharge for
-// tracker and swap work. The estimate only steers StrategyCost's load
-// balance, so a rough deterministic heuristic is enough.
-func cellCost(cell report.MatrixCell, instructions int64) float64 {
-	var perInstr float64
-	for _, p := range cell.Workload.PerCore {
-		perInstr += 0.2 + 1/float64(p.AvgGap+1)
-	}
-	cost := float64(instructions) * perInstr
-	if cell.Label != "" {
-		cost *= 1.15
-	}
-	return cost
-}
-
 // PlanOptions tunes PlanEvaluation beyond the figure set and the
 // experiment options.
 type PlanOptions struct {
-	// Shards is the worker count jobs are distributed over.
+	// Shards is the worker count jobs are dealt over round-robin.
 	Shards int
-	// Strategy is StrategyRoundRobin or StrategyCost.
+	// Strategy must be "" or StrategyRoundRobin.
+	//
+	// Deprecated: round-robin is the only assignment. The field stays
+	// because the perfbench module compiles against it.
 	Strategy string
-	// Costs, when non-nil, supplies measured wall-seconds for
-	// StrategyCost (typically simcache.OpenCostIndex on the cache
-	// directory of previous runs). Jobs without a measured cost fall
-	// back to the static estimate, rescaled into seconds.
-	Costs *simcache.CostIndex
-	// Log, when non-nil, receives one-line planning notes (which cost
-	// source was used).
-	Log io.Writer
 	// MCTrials is the per-cell Monte-Carlo trial count for security
 	// figures (0 = attack.DefaultTrials); MCBatch the trials-per-batch
 	// job granularity (0 = attack.DefaultBatch); MCSeed the experiment
@@ -284,8 +236,8 @@ type PlanOptions struct {
 // Plan expands a single figure into a sharded job manifest — the
 // degenerate evaluation of one figure, kept as the convenience entry
 // point for single-figure sweeps and tests.
-func Plan(figID string, opt report.PerfOptions, shards int, strategy string) (*Manifest, error) {
-	return PlanEvaluation([]string{figID}, opt, PlanOptions{Shards: shards, Strategy: strategy})
+func Plan(figID string, opt report.PerfOptions, shards int) (*Manifest, error) {
+	return PlanEvaluation([]string{figID}, opt, PlanOptions{Shards: shards})
 }
 
 // MCWorkload is the pseudo-workload name Monte-Carlo jobs carry in the
@@ -316,27 +268,13 @@ func splitFigIDs(figIDs []string) (perfIDs, secIDs []string, err error) {
 	return perfIDs, secIDs, nil
 }
 
-// mcJobCost predicts a trial batch's relative cost for StrategyCost.
-// A direct-regime trial simulates an expected 1/p windows (one Poisson
-// draw each); tail-regime and latent-only trials are constant work.
-// Like cellCost this only steers load balance — measured wall-seconds
-// replace it on re-plans.
-func mcJobCost(spec attack.TrialSpec, trials int) float64 {
-	p := spec.Model.EpochSuccessProb(spec.Rounds)
-	perTrial := 4.0
-	if p >= attack.MinDirectProb && p < 1 {
-		perTrial = 1 / p
-	}
-	return float64(trials) * perTrial
-}
-
 // PlanEvaluation expands the given figures — performance, security, or
 // a mix — into one deduplicated, sharded job manifest without running
-// anything. Planning is deterministic given the cost source: the same
-// figures, options, shard count, seed, binary, and measured-cost index
-// always produce the same manifest, so coordinator and workers can
-// independently agree on every job's identity. Simulation jobs come
-// first (evaluation order), then every security cell's trial batches.
+// anything. Planning is deterministic: the same figures, options,
+// shard count, seed, and binary always produce the same manifest, so
+// coordinator and workers can independently agree on every job's
+// identity. Simulation jobs come first (evaluation order), then every
+// security cell's trial batches; job i is dealt to shard i mod Shards.
 func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*Manifest, error) {
 	if len(figIDs) == 0 {
 		return nil, fmt.Errorf("sweep: no figures requested")
@@ -348,20 +286,16 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 	if po.Shards < 1 {
 		return nil, fmt.Errorf("sweep: shard count %d < 1", po.Shards)
 	}
-	switch po.Strategy {
-	case StrategyRoundRobin, StrategyCost:
-	default:
-		return nil, fmt.Errorf("sweep: unknown sharding strategy %q", po.Strategy)
+	if po.Strategy != "" && po.Strategy != StrategyRoundRobin {
+		return nil, fmt.Errorf("sweep: unknown sharding strategy %q (jobs are dealt round-robin)", po.Strategy)
 	}
 
 	m := &Manifest{
-		Schema:   ManifestSchema,
-		Binary:   simcache.CodeVersion(),
-		Shards:   po.Shards,
-		Strategy: po.Strategy,
+		Schema: ManifestSchema,
+		Binary: simcache.CodeVersion(),
+		Shards: po.Shards,
 	}
 	var jobs []Job
-	var costKeys []string // parallel to jobs: build-independent cost identity
 
 	var eval report.EvaluationPlan
 	if len(perfIDs) > 0 {
@@ -385,9 +319,7 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 				Workload: cell.Workload.Name,
 				Label:    cell.Label,
 				Key:      eval.Keys[i],
-				Cost:     cellCost(cell, eval.Sim.Instructions),
 			})
-			costKeys = append(costKeys, simcache.CostKey(cell.Workload, cell.System, eval.Sim))
 		}
 		mfigs := make([]Figure, len(eval.Figures))
 		for fi, fp := range eval.Figures {
@@ -436,10 +368,8 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 					Workload: MCWorkload,
 					Label:    fmt.Sprintf("%s batch %d", cell.Label, b),
 					Key:      simcache.MCKey(cell.Spec, root, b, n),
-					Cost:     mcJobCost(cell.Spec, n),
 					MC:       &MCRef{Cell: ci, Batch: b, Trials: n},
 				})
-				costKeys = append(costKeys, simcache.MCCostKey(cell.Spec, n))
 			}
 		}
 	}
@@ -447,91 +377,11 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 		return nil, fmt.Errorf("sweep: figures %s cover nothing", strings.Join(figIDs, ","))
 	}
 
-	costSource := CostSourceStatic
-	if po.Strategy == StrategyCost {
-		costSource = applyMeasuredCosts(jobs, costKeys, po.Costs)
-		if po.Log != nil {
-			fmt.Fprintf(po.Log, "cost source: %s\n", costSource)
-		}
+	for i := range jobs {
+		jobs[i].Shard = i % po.Shards
 	}
-	m.CostSource = costSource
-	assignShards(jobs, po.Shards, po.Strategy)
 	m.Jobs = jobs
 	return m, nil
-}
-
-// applyMeasuredCosts replaces static job costs with measured
-// wall-seconds where the cost index has them, returning a description
-// of the resulting cost source. costKeys[i] is job i's
-// build-independent cost identity (simcache.CostKey for simulations,
-// simcache.MCCostKey for trial batches). When only part of the job set
-// is measured, the unmeasured jobs keep their static estimate rescaled
-// into the measured unit (seconds) by the ratio observed on the
-// measured jobs, so LPT compares like with like.
-func applyMeasuredCosts(jobs []Job, costKeys []string, costs *simcache.CostIndex) string {
-	if costs.Len() == 0 {
-		return CostSourceStatic
-	}
-	measured := make([]float64, len(jobs))
-	n := 0
-	var sumMeasured, sumStatic float64
-	for i := range jobs {
-		if s, ok := costs.Seconds(costKeys[i]); ok {
-			measured[i] = s
-			n++
-			sumMeasured += s
-			sumStatic += jobs[i].Cost
-		}
-	}
-	if n == 0 {
-		return CostSourceStatic
-	}
-	if n == len(jobs) {
-		for i := range jobs {
-			jobs[i].Cost = measured[i]
-		}
-		return CostSourceMeasured
-	}
-	scale := sumMeasured / sumStatic
-	for i := range jobs {
-		if measured[i] > 0 {
-			jobs[i].Cost = measured[i]
-		} else {
-			jobs[i].Cost *= scale
-		}
-	}
-	return fmt.Sprintf("measured-wall-seconds for %d/%d jobs, static heuristic (rescaled) for the rest", n, len(jobs))
-}
-
-// assignShards distributes jobs across shards in place.
-func assignShards(jobs []Job, shards int, strategy string) {
-	if strategy == StrategyRoundRobin {
-		for i := range jobs {
-			jobs[i].Shard = i % shards
-		}
-		return
-	}
-	// LPT: most expensive job first onto the least-loaded shard. Ties
-	// break toward the earlier job and the lower shard index, keeping
-	// the assignment deterministic.
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Cost > jobs[order[b]].Cost
-	})
-	loads := make([]float64, shards)
-	for _, ji := range order {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		jobs[ji].Shard = best
-		loads[best] += jobs[ji].Cost
-	}
 }
 
 // perfOptions reconstructs the planning options the manifest was built
@@ -948,9 +798,7 @@ func (m *Manifest) RunShard(shard int, cacheDir string, workers int, progress io
 // maps. The assembly arithmetic is report.MatrixPlan.Rows — the same
 // code the in-process matrix uses — and batch tallies fold exactly, so
 // each figure's merged rows are bit-identical to a single-process run
-// in any fold order. Measured-cost sidecars of the worker directories
-// are merged too, so a later plan against mergedDir can shard by
-// measured wall time. When pack is true the merged loose entries are
+// in any fold order. When pack is true the merged loose entries are
 // folded into a packed shard index ("shard-index.pack") so later
 // readers of mergedDir pay one file scan instead of thousands of
 // opens. A stored tally that decodes but violates its invariants fails
@@ -973,9 +821,6 @@ func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progr
 		}
 		if workers[i], err = simcache.Open(dir); err != nil {
 			return nil, fmt.Errorf("sweep: worker dir: %w", err)
-		}
-		if nc := cache.Costs().ImportFrom(dir); progress != nil {
-			fmt.Fprintf(progress, "  imported %d measured costs from %s\n", nc, dir)
 		}
 	}
 	fetch := func(key string) ([]byte, bool, error) {

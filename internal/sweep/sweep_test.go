@@ -2,12 +2,15 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -42,18 +45,18 @@ func requireNonTrivial(t *testing.T, rows []report.PerfRow) {
 	t.Fatal("every normalized value is exactly 1.0; the matrix exercises no mitigation work")
 }
 
-func mustPlan(t *testing.T, shards int, strategy string) *Manifest {
+func mustPlan(t *testing.T, shards int) *Manifest {
 	t.Helper()
-	m, err := Plan("14", quickOpts(), shards, strategy)
+	m, err := Plan("14", quickOpts(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func mustPlanEvaluation(t *testing.T, figs []string, shards int, strategy string) *Manifest {
+func mustPlanEvaluation(t *testing.T, figs []string, shards int) *Manifest {
 	t.Helper()
-	m, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: shards, Strategy: strategy})
+	m, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +64,8 @@ func mustPlanEvaluation(t *testing.T, figs []string, shards int, strategy string
 }
 
 func TestPlanIsDeterministic(t *testing.T) {
-	a := mustPlan(t, 3, StrategyCost)
-	b := mustPlan(t, 3, StrategyCost)
+	a := mustPlan(t, 3)
+	b := mustPlan(t, 3)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two plans of the same sweep differ")
 	}
@@ -81,9 +84,6 @@ func TestPlanIsDeterministic(t *testing.T) {
 			t.Fatalf("job key empty or duplicated: %+v", j)
 		}
 		seen[j.Key] = true
-		if j.Cost <= 0 {
-			t.Errorf("job %s has cost %g", j.desc(), j.Cost)
-		}
 	}
 	if len(a.Figures) != 1 || a.Figures[0].Fig != "14" {
 		t.Fatalf("single-figure plan carries figures %+v", a.Figures)
@@ -106,13 +106,13 @@ func TestPlanIsDeterministic(t *testing.T) {
 // figure's fan-out still covers its full matrix.
 func TestEvaluationPlanDeduplicates(t *testing.T) {
 	figs := report.PerfFigureIDs()
-	eval, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyCost})
+	eval, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	perFigure := 0
 	for _, id := range figs {
-		m, err := Plan(id, quickOpts(), 2, StrategyCost)
+		m, err := Plan(id, quickOpts(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,133 +148,52 @@ func TestEvaluationPlanDeduplicates(t *testing.T) {
 	if err := eval.Validate(); err != nil {
 		t.Errorf("evaluation plan does not validate: %v", err)
 	}
-	if !reflect.DeepEqual(eval, mustPlanEvaluation(t, figs, 2, StrategyCost)) {
+	if !reflect.DeepEqual(eval, mustPlanEvaluation(t, figs, 2)) {
 		t.Error("two evaluation plans of the same sweep differ")
 	}
 }
 
 func TestPlanRejectsBadInput(t *testing.T) {
-	if _, err := Plan("nope", quickOpts(), 2, StrategyRoundRobin); err == nil {
+	if _, err := Plan("nope", quickOpts(), 2); err == nil {
 		t.Error("unknown figure accepted")
 	}
-	if _, err := Plan("14", quickOpts(), 0, StrategyRoundRobin); err == nil {
+	if _, err := Plan("14", quickOpts(), 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := Plan("14", quickOpts(), 2, "random"); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, strategy := range []string{"random", "cost"} {
+		if _, err := PlanEvaluation([]string{"14"}, quickOpts(), PlanOptions{Shards: 2, Strategy: strategy}); err == nil {
+			t.Errorf("unknown strategy %q accepted", strategy)
+		}
 	}
-	if _, err := PlanEvaluation(nil, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyRoundRobin}); err == nil {
+	if _, err := PlanEvaluation(nil, quickOpts(), PlanOptions{Shards: 2}); err == nil {
 		t.Error("empty figure set accepted")
 	}
-	if _, err := PlanEvaluation([]string{"14", "14"}, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyRoundRobin}); err == nil {
+	if _, err := PlanEvaluation([]string{"14", "14"}, quickOpts(), PlanOptions{Shards: 2}); err == nil {
 		t.Error("duplicate figure accepted")
 	}
 }
 
+// TestShardAssignmentCoversAllShards pins the one assignment: job i
+// goes to shard i mod Shards, so every shard gets work and an explicit
+// "round-robin" strategy plans the same manifest as the default.
 func TestShardAssignmentCoversAllShards(t *testing.T) {
-	for _, strategy := range []string{StrategyRoundRobin, StrategyCost} {
-		m := mustPlan(t, 2, strategy)
-		counts := map[int]int{}
-		for _, j := range m.Jobs {
-			counts[j.Shard]++
-		}
-		if len(counts) != 2 {
-			t.Errorf("%s: jobs landed on %d shards, want 2", strategy, len(counts))
-		}
-		// 9 jobs over 2 shards: no shard may hold more than 2/3 of them
-		// under either strategy (round-robin gives 5/4; LPT must not
-		// degenerate further on a near-uniform matrix).
-		for s, n := range counts {
-			if n > 6 {
-				t.Errorf("%s: shard %d holds %d of 9 jobs", strategy, s, n)
-			}
+	m := mustPlan(t, 2)
+	for i, j := range m.Jobs {
+		if j.Shard != i%2 {
+			t.Errorf("job %d (%s) on shard %d, want %d", i, j.desc(), j.Shard, i%2)
 		}
 	}
-}
-
-func TestCostStrategyBalancesLoad(t *testing.T) {
-	m := mustPlan(t, 2, StrategyCost)
-	loads := map[int]float64{}
-	var total float64
-	for _, j := range m.Jobs {
-		loads[j.Shard] += j.Cost
-		total += j.Cost
-	}
-	for s, l := range loads {
-		if frac := l / total; frac > 0.75 {
-			t.Errorf("shard %d carries %.0f%% of the estimated cost", s, frac*100)
-		}
-	}
-	if m.CostSource != CostSourceStatic {
-		t.Errorf("plan without a cost index records source %q, want %q", m.CostSource, CostSourceStatic)
-	}
-}
-
-// TestPlanUsesMeasuredCosts runs a sweep once with a cache directory
-// (which records measured wall-seconds in the cost sidecar) and
-// re-plans against that directory: every job cost must then be the
-// measured value, the manifest must say so, and the assignment must
-// still validate. A second index covering only some jobs must produce
-// the hybrid source.
-func TestPlanUsesMeasuredCosts(t *testing.T) {
-	dir := t.TempDir()
-	m := mustPlan(t, 1, StrategyRoundRobin)
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	costs := simcache.OpenCostIndex(dir)
-	if costs.Len() != len(m.Jobs) {
-		t.Fatalf("cost sidecar holds %d entries after running %d jobs", costs.Len(), len(m.Jobs))
-	}
-
-	var log bytes.Buffer
-	mc, err := PlanEvaluation([]string{"14"}, quickOpts(), PlanOptions{
-		Shards: 2, Strategy: StrategyCost, Costs: costs, Log: &log,
-	})
+	rr, err := PlanEvaluation([]string{"14"}, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.CostSource != CostSourceMeasured {
-		t.Errorf("cost source %q, want %q", mc.CostSource, CostSourceMeasured)
-	}
-	if !strings.Contains(log.String(), CostSourceMeasured) {
-		t.Errorf("plan did not log the cost source: %q", log.String())
-	}
-	static := mustPlan(t, 2, StrategyCost)
-	same := true
-	for i := range mc.Jobs {
-		if mc.Jobs[i].Cost <= 0 {
-			t.Fatalf("job %s has non-positive measured cost %g", mc.Jobs[i].desc(), mc.Jobs[i].Cost)
-		}
-		if mc.Jobs[i].Cost != static.Jobs[i].Cost {
-			same = false
-		}
-	}
-	if same {
-		t.Error("measured costs identical to the static heuristic; the sidecar was not consulted")
-	}
-	if err := mc.Validate(); err != nil {
-		t.Errorf("measured-cost plan does not validate: %v", err)
-	}
-
-	// An evaluation over more figures is only partially covered by the
-	// measured index: the plan must fall back per-job and say so.
-	mp, err := PlanEvaluation([]string{"14", "12"}, quickOpts(), PlanOptions{
-		Shards: 2, Strategy: StrategyCost, Costs: costs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.CostSource == CostSourceMeasured || mp.CostSource == CostSourceStatic {
-		t.Errorf("partially measured plan records source %q, want a hybrid description", mp.CostSource)
-	}
-	if !strings.Contains(mp.CostSource, "static heuristic") {
-		t.Errorf("hybrid cost source %q does not mention the fallback", mp.CostSource)
+	if !reflect.DeepEqual(m, rr) {
+		t.Error("an explicit round-robin strategy plans a different manifest than the default")
 	}
 }
 
 func TestManifestRoundTripsThroughJSON(t *testing.T) {
-	m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+	m := mustPlanEvaluation(t, []string{"4", "14"}, 2)
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -339,7 +258,7 @@ func TestValidateRejectsCorruptManifests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+			m := mustPlanEvaluation(t, []string{"4", "14"}, 2)
 			tc.mutate(m)
 			err := m.Validate()
 			if err == nil {
@@ -368,7 +287,7 @@ func TestExpandRejectsTamperedManifest(t *testing.T) {
 	}
 	for name, mutate := range tamper {
 		t.Run(name, func(t *testing.T) {
-			m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+			m := mustPlanEvaluation(t, []string{"4", "14"}, 2)
 			mutate(m)
 			if err := m.Validate(); err == nil {
 				t.Errorf("tampered manifest (%s) validated", name)
@@ -390,38 +309,37 @@ func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 	}
 	requireNonTrivial(t, want)
 
-	for _, strategy := range []string{StrategyRoundRobin, StrategyCost} {
-		t.Run(strategy, func(t *testing.T) {
-			m, err := Plan("14", opt, 2, strategy)
+	// The subtest is named for the assignment the shards are dealt by.
+	t.Run("round-robin", func(t *testing.T) {
+		m, err := Plan("14", opt, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := t.TempDir()
+		var dirs []string
+		for shard := 0; shard < m.Shards; shard++ {
+			dir := filepath.Join(base, "worker", string(rune('0'+shard)))
+			dirs = append(dirs, dir)
+			stats, err := m.RunShard(shard, dir, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := t.TempDir()
-			var dirs []string
-			for shard := 0; shard < m.Shards; shard++ {
-				dir := filepath.Join(base, "worker", string(rune('0'+shard)))
-				dirs = append(dirs, dir)
-				stats, err := m.RunShard(shard, dir, 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Jobs == 0 {
-					t.Fatalf("shard %d ran no jobs", shard)
-				}
+			if stats.Jobs == 0 {
+				t.Fatalf("shard %d ran no jobs", shard)
 			}
-			res, err := m.Merge(filepath.Join(base, "merged"), dirs, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, ok := res.FigureRows("14")
-			if !ok {
-				t.Fatal("merged results carry no figure 14")
-			}
-			if !reflect.DeepEqual(want, rows) {
-				t.Errorf("sharded rows differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
-			}
-		})
-	}
+		}
+		res, err := m.Merge(filepath.Join(base, "merged"), dirs, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, ok := res.FigureRows("14")
+		if !ok {
+			t.Fatal("merged results carry no figure 14")
+		}
+		if !reflect.DeepEqual(want, rows) {
+			t.Errorf("sharded rows differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
+		}
+	})
 }
 
 // TestEvaluationSweepMatchesPerFigureRuns is the whole-evaluation
@@ -449,7 +367,7 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 		requireNonTrivial(t, want[id])
 	}
 
-	m := mustPlanEvaluation(t, figs, 2, StrategyCost)
+	m := mustPlanEvaluation(t, figs, 2)
 	base := t.TempDir()
 	var dirs []string
 	totalJobs := 0
@@ -487,7 +405,7 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 // TestRunShardIsIdempotent re-runs a shard over its own cache: the
 // second pass must be all hits and leave the merged rows unchanged.
 func TestRunShardIsIdempotent(t *testing.T) {
-	m := mustPlan(t, 1, StrategyRoundRobin)
+	m := mustPlan(t, 1)
 	dir := t.TempDir()
 	cold, err := m.RunShard(0, dir, 0, nil)
 	if err != nil {
@@ -508,7 +426,7 @@ func TestRunShardIsIdempotent(t *testing.T) {
 // TestMergeReportsMissingShard proves an incomplete sweep fails loudly,
 // naming the shard whose results are absent.
 func TestMergeReportsMissingShard(t *testing.T) {
-	m := mustPlan(t, 2, StrategyRoundRobin)
+	m := mustPlan(t, 2)
 	dir := t.TempDir()
 	if _, err := m.RunShard(0, filepath.Join(dir, "w0"), 0, nil); err != nil {
 		t.Fatal(err)
@@ -530,7 +448,7 @@ func TestMergeReportsMissingShard(t *testing.T) {
 // with exactly the manifest's entries, each byte-identical to the
 // worker's valid copy; and a missing worker directory fails the merge.
 func TestMergeCopiesOnlyValidManifestEntries(t *testing.T) {
-	m := mustPlan(t, 2, StrategyRoundRobin)
+	m := mustPlan(t, 2)
 	base := t.TempDir()
 	w0, w1 := filepath.Join(base, "w0"), filepath.Join(base, "w1")
 	for shard, dir := range []string{w0, w1} {
@@ -601,6 +519,106 @@ func TestMergeCopiesOnlyValidManifestEntries(t *testing.T) {
 	}
 }
 
+// TestLeftoverCostSidecarIsIgnored covers stores written by older
+// builds, which keep a measured-cost sidecar ("costs.jsonl") next to
+// their entries. Get, Put, PackLoose and a Merge over such directories
+// work as over clean ones, and the sidecar is left alone: its bytes and
+// modification time are unchanged (an age-pruning Open does not delete
+// it even though it is older than any entry would be kept), it is not
+// packed or counted as an entry, and it is not copied into mergedDir.
+func TestLeftoverCostSidecarIsIgnored(t *testing.T) {
+	const sidecar = "costs.jsonl"
+	m := mustPlan(t, 2)
+	base := t.TempDir()
+	w0, w1 := filepath.Join(base, "w0"), filepath.Join(base, "w1")
+	// The old line format, one line per job, keyed by the job's own
+	// result key.
+	var lines bytes.Buffer
+	for _, j := range m.Jobs {
+		fmt.Fprintf(&lines, "{\"key\":%q,\"seconds\":1.5}\n", j.Key)
+	}
+	old := time.Now().Add(-60 * 24 * time.Hour).Truncate(time.Second)
+	for _, dir := range []string{w0, w1} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, sidecar)
+		if err := os.WriteFile(path, lines.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Get misses and Puts, through the shards.
+	for shard, dir := range []string{w0, w1} {
+		if _, err := m.RunShard(shard, dir, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Get, Put and PackLoose directly.
+	c0, err := simcache.Open(w0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res json.RawMessage
+	if hit, err := c0.Get(m.Jobs[0].Key, &res); err != nil || !hit {
+		t.Fatalf("Get of shard 0's first job: hit=%v err=%v", hit, err)
+	}
+	extra := simcache.Key("an entry next to the sidecar")
+	if err := c0.Put(extra, 7); err != nil {
+		t.Fatal(err)
+	}
+	var seven int
+	if hit, err := c0.Get(extra, &seven); err != nil || !hit || seven != 7 {
+		t.Fatalf("Get after Put: hit=%v err=%v value=%d", hit, err, seven)
+	}
+	loose, err := filepath.Glob(filepath.Join(w0, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c0.PackLoose("shard"); err != nil || n != len(loose) {
+		t.Fatalf("PackLoose packed %d entries (err %v), want the %d loose entries only", n, err, len(loose))
+	}
+
+	merged := filepath.Join(base, "merged")
+	got, err := m.Merge(merged, []string{w0, w1}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(merged, sidecar)); !os.IsNotExist(err) {
+		t.Errorf("the sidecar was copied into the merged dir (stat: %v)", err)
+	}
+	for _, dir := range []string{w0, w1} {
+		path := filepath.Join(dir, sidecar)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("sidecar in %s: %v", dir, err)
+		}
+		if !bytes.Equal(data, lines.Bytes()) {
+			t.Errorf("sidecar in %s was rewritten", dir)
+		}
+		if info, err := os.Stat(path); err != nil || !info.ModTime().Equal(old) {
+			t.Errorf("sidecar in %s was touched: %v", dir, err)
+		}
+	}
+
+	// Without the sidecars the same worker dirs merge to the same rows.
+	for _, dir := range []string{w0, w1} {
+		if err := os.Remove(filepath.Join(dir, sidecar)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := m.Merge(filepath.Join(base, "clean"), []string{w0, w1}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("a merge over dirs with a leftover sidecar differs from one without")
+	}
+}
+
 // TestMergedResultsRenderAndRoundTrip exercises the Results artifact:
 // save, load, and render must reproduce the figure output of the
 // in-process run byte for byte.
@@ -612,7 +630,7 @@ func TestMergedResultsRenderAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustPlan(t, 1, StrategyRoundRobin)
+	m := mustPlan(t, 1)
 	dir := t.TempDir()
 	if _, err := m.RunShard(0, filepath.Join(dir, "w0"), 0, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -170,9 +169,8 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 }
 
 // MergeServer is Merge with the daemon as the only source: an entry
-// missing from mergedDir is pulled verbatim from the HTTP store, and
-// the daemon's measured-cost estimates are imported too. The fold,
-// audit and rows are Merge's, so they are bit-identical to a
+// missing from mergedDir is pulled verbatim from the HTTP store. The
+// fold, audit and rows are Merge's, so they are bit-identical to a
 // single-process run and to a directory-transport merge. Entries
 // already in mergedDir are not re-fetched, so an interrupted merge
 // resumes where it stopped.
@@ -184,19 +182,6 @@ func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack b
 	cache, err := simcache.Open(mergedDir)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: merged dir: %w", err)
-	}
-	costs, err := client.CostsJSONL()
-	if err == nil {
-		nc := cache.Costs().ImportRecords(bytes.NewReader(costs))
-		if progress != nil {
-			fmt.Fprintf(progress, "  imported %d measured costs from %s\n", nc, client.Base())
-		}
-	} else if progress != nil {
-		// Cost feedback is an optimization signal, not a correctness
-		// dependency — but a silent drop would make a later
-		// `plan -strategy cost` quietly fall back to the static
-		// heuristic, so say what happened.
-		fmt.Fprintf(progress, "  warning: measured costs not pulled from %s: %v\n", client.Base(), err)
 	}
 	return m.fold(p, cache, client.GetEntryRaw, pack, progress)
 }

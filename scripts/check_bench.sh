@@ -85,7 +85,7 @@ REQUIRED = {
     "evaluation": {"benchmark", "jobs_per_figure_sum", "jobs_deduplicated",
                    "dedupe_savings_frac", "merge_wall_seconds"},
     "work_stealing": {"benchmark", "jobs", "jobs_claimed_per_worker",
-                      "work_stealing_wall_seconds", "lpt_presharded_wall_seconds"},
+                      "work_stealing_wall_seconds", "presharded_wall_seconds"},
     "service": {"benchmark", "jobs", "jobs_recovered_on_restart",
                 "restart_recovery_wall_seconds", "cold_rerun_wall_seconds",
                 "heartbeats_total", "heartbeats_per_worker"},
