@@ -94,13 +94,23 @@ func BenchmarkFig06JuggernautTimeToBreak(b *testing.B) {
 	b.ReportMetric(days*24, "hours-to-break@4800r6")
 }
 
+// BenchmarkFig06MonteCarlo is the Monte-Carlo engine's layer bench:
+// Fig. 6's direct-regime cell (RRS at T_RH 4800, best round count), one
+// Poisson draw per simulated refresh window. It reports the cost per
+// window (wall time / Σ MeanEpochs·Iterations) and trials per second.
 func BenchmarkFig06MonteCarlo(b *testing.B) {
 	m := attack.NewJuggernautRRS(4800, 6)
 	n, _ := m.BestRounds()
+	var windows, trials float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attack.MonteCarlo(m, n, 10, 1)
+		r := attack.MonteCarlo(m, n, 10, 1)
+		windows += r.MeanEpochs * float64(r.Iterations)
+		trials += float64(r.Iterations)
 	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(secs*1e9/windows, "ns/window")
+	b.ReportMetric(trials/secs, "trials/s")
 }
 
 func BenchmarkFig07RequiredGuesses(b *testing.B) {

@@ -58,7 +58,7 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated cores")
 	mcIters := flag.Int("mc", 200, "Monte-Carlo iterations for Fig. 6 (0 disables)")
 	workers := flag.Int("workers", 0, "simulation worker pool size for performance figures (0 = all CPUs, 1 = serial)")
-	progress := flag.Bool("progress", false, "print per-workload progress for performance figures")
+	progress := flag.Bool("progress", false, "print per-workload progress, wall time, sim-IPS and regime mix for performance figures (stderr)")
 	cacheDir := flag.String("cache-dir", simcache.DefaultDir(), "persistent simulation-result cache directory")
 	noCache := flag.Bool("no-cache", false, "disable the persistent result cache")
 	follow := flag.Bool("follow", false, "tail a rowswap-cached daemon (-server): re-render covered figures as results stream in, print the final render to stdout when coverage completes")

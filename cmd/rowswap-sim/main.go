@@ -179,18 +179,9 @@ func printKernel(name string, r *sim.Result, hit bool) {
 	if hit {
 		origin = " (original run, served from cache)"
 	}
-	g := r.Regimes
-	total := g.BatchedCycles() + g.SteppedCycles + g.Ticks
-	pct := func(n int64) float64 {
-		if total == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(total)
-	}
 	fmt.Fprintf(os.Stderr, "%s run%s: %s kernel, %.3f s wall, %.1fM sim-IPS\n",
 		name, origin, r.Kernel, r.WallSeconds, r.SimIPS/1e6)
-	fmt.Fprintf(os.Stderr, "  regime mix of %d core-cycles: compute %.1f%%, fill %.1f%%, drain %.1f%%, stall %.1f%%, ticked %.1f%%, stepped %.1f%%\n",
-		total, pct(g.ComputeCycles), pct(g.FillCycles), pct(g.DrainCycles), pct(g.StallCycles), pct(g.Ticks), pct(g.SteppedCycles))
+	fmt.Fprintf(os.Stderr, "  %s\n", r.Regimes.Mix())
 }
 
 func printResult(r *sim.Result, norm float64) {

@@ -66,9 +66,11 @@ func BatchSeed(root uint64, batch int) uint64 {
 // land within one window. A trial's outcome is the number of windows
 // (epochs) until success. When the per-window success probability p =
 // P[Poisson(G/R) >= k] is at least MinDirectProb the windows are
-// simulated event by event; below it the trial draws epochs ~
-// Geometric(p) in closed form, carried in log space (p itself may be
-// far below the smallest float64), and records quantized log(epochs).
+// simulated one Poisson draw each (stats.RNG.PoissonRunLength, which
+// consumes the stream exactly as a loop of RNG.Poisson calls); below
+// it the trial draws epochs ~ Geometric(p) in closed form, carried in
+// log space (p itself may be far below the smallest float64), and
+// records quantized log(epochs).
 func (s TrialSpec) RunBatch(root uint64, batch, trials int) Tally {
 	var t Tally
 	if trials <= 0 {
@@ -93,14 +95,7 @@ func (s TrialSpec) RunBatch(root uint64, batch, trials int) Tally {
 	rng := stats.NewRNG(BatchSeed(root, batch))
 	if p := stats.PoissonTail(k, lambda); p >= MinDirectProb {
 		for i := 0; i < trials; i++ {
-			epochs := uint64(0)
-			for {
-				epochs++
-				if rng.Poisson(lambda) >= k {
-					break
-				}
-			}
-			t.addDirect(epochs)
+			t.addDirect(rng.PoissonRunLength(lambda, k))
 		}
 		return t
 	}

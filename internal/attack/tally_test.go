@@ -31,9 +31,19 @@ func goldenCases() []goldenCase {
 	tail := TrialSpec{Model: NewJuggernautSRS(4800, 10), Rounds: 0}
 	latent := TrialSpec{Model: NewJuggernautRRS(1200, 6), Rounds: 600}
 	skipped := TrialSpec{Model: NewJuggernautSRS(4800, 10), Rounds: 5000}
+	// The paper's direct cell ends ~99.7% of its windows on their first
+	// uniform. A small bank raises λ = G/R so most windows multiply
+	// several uniforms, pinning the sampler's multi-uniform path.
+	small := func(rows, rounds int) TrialSpec {
+		m := NewJuggernautRRS(4800, 6)
+		m.RowsPerBank = rows
+		return TrialSpec{Model: m, Rounds: rounds}
+	}
 	return []goldenCase{
 		{"direct-b0", direct, 0xf16, 0, 4},
 		{"direct-b7", direct, 0xf16, 7, 4},
+		{"direct-k3-b2", small(2048, 600), 0xf16, 2, 50}, // λ ≈ 0.46, p ≈ 0.011
+		{"direct-k4-b5", small(1024, 0), 31, 5, 50},      // λ ≈ 1.54, p ≈ 0.071
 		{"tail-b0", tail, 0xf16, 0, 250},
 		{"tail-b3", tail, 99, 3, 250},
 		{"latent-b0", latent, 1, 0, 50},

@@ -7,6 +7,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/config"
 	"repro/internal/trace"
 )
@@ -142,6 +144,20 @@ func (s *RegimeStats) Add(o RegimeStats) {
 // BatchedCycles returns the cycles replayed or skipped in closed form.
 func (s RegimeStats) BatchedCycles() int64 {
 	return s.ComputeCycles + s.FillCycles + s.DrainCycles + s.StallCycles
+}
+
+// Mix formats the share of core-cycles each regime advanced, as the
+// CLIs print it: "regime mix of N core-cycles: compute …%, …".
+func (s RegimeStats) Mix() string {
+	total := s.BatchedCycles() + s.SteppedCycles + s.Ticks
+	pct := func(n int64) float64 {
+		if total == 0 {
+			return 0
+		}
+		return 100 * float64(n) / float64(total)
+	}
+	return fmt.Sprintf("regime mix of %d core-cycles: compute %.1f%%, fill %.1f%%, drain %.1f%%, stall %.1f%%, ticked %.1f%%, stepped %.1f%%",
+		total, pct(s.ComputeCycles), pct(s.FillCycles), pct(s.DrainCycles), pct(s.StallCycles), pct(s.Ticks), pct(s.SteppedCycles))
 }
 
 // Regimes returns the core's batching instrumentation.

@@ -2,11 +2,13 @@ package report
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/trace"
@@ -24,6 +26,7 @@ type baselineKey struct {
 type baselineEntry struct {
 	once sync.Once
 	res  *sim.Result
+	hit  bool
 	err  error
 }
 
@@ -45,17 +48,21 @@ func ResetBaselineCache() {
 // baselineFor returns the unprotected-baseline result for the workload,
 // simulating it at most once per (workload, cores, options) even when
 // many matrix jobs race for it. The persistent cache, when enabled,
-// additionally carries baselines across process invocations.
-func baselineFor(w trace.Workload, cores int, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
+// additionally carries baselines across process invocations. hit
+// reports that this call did not simulate: the result came from the
+// persistent cache or from an earlier call in this process.
+func baselineFor(w trace.Workload, cores int, opt sim.Options, cache *simcache.Cache) (res *sim.Result, hit bool, err error) {
 	e, _ := baselineCache.LoadOrStore(baselineKey{workload: w.Name, cores: cores, opt: opt}, &baselineEntry{})
 	entry := e.(*baselineEntry)
+	hit = true
 	entry.once.Do(func() {
 		sys := config.Default()
 		sys.Core.Cores = cores
 		sys.Mitigation = config.Mitigation{}
-		entry.res, _, entry.err = simcache.RunCached(cache, w, sys, opt)
+		entry.res, entry.hit, entry.err = simcache.RunCached(cache, w, sys, opt)
+		hit = entry.hit
 	})
-	return entry.res, entry.err
+	return entry.res, hit, entry.err
 }
 
 // runMatrix evaluates each workload under a baseline plus the given
@@ -88,24 +95,20 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 	stride := plan.stride()
 	jobs := plan.Cells
 
-	type cell struct {
-		res *sim.Result
-		err error
-	}
 	results := make([]cell, len(jobs))
 	run := func(j MatrixCell) cell {
 		if j.Label == "" {
-			res, err := baselineFor(j.Workload, opt.Cores, plan.Sim, cache)
+			res, hit, err := baselineFor(j.Workload, opt.Cores, plan.Sim, cache)
 			if err != nil {
 				err = fmt.Errorf("baseline %s: %w", j.Workload.Name, err)
 			}
-			return cell{res, err}
+			return cell{res, hit, err}
 		}
-		res, _, err := simcache.RunCached(cache, j.Workload, j.System, plan.Sim)
+		res, hit, err := simcache.RunCached(cache, j.Workload, j.System, plan.Sim)
 		if err != nil {
 			err = fmt.Errorf("%s %s: %w", j.Label, j.Workload.Name, err)
 		}
-		return cell{res, err}
+		return cell{res, hit, err}
 	}
 
 	workers := opt.Workers
@@ -151,6 +154,7 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 					if rb := results[wi*stride].res; rb != nil {
 						fmt.Fprintf(opt.Progress, "  %-14s done (baseline IPC %.3f)\n",
 							workloads[wi].Name, rb.MeanIPC)
+						writeKernel(opt.Progress, results[wi*stride:(wi+1)*stride])
 					}
 				}
 				progMu.Unlock()
@@ -172,4 +176,42 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 		flat[i] = results[i].res
 	}
 	return plan.Rows(flat)
+}
+
+// cell is one matrix job's outcome; hit reports that it was not
+// simulated in this call (see baselineFor and simcache.RunCached).
+type cell struct {
+	res *sim.Result
+	hit bool
+	err error
+}
+
+// writeKernel writes one workload's event-kernel instrumentation to a
+// progress writer: its runs' total host wall time, simulated
+// instructions per wall-second and regime mix. Runs that were not
+// simulated here carry their original run's figures, and the line says
+// how many there were.
+func writeKernel(w io.Writer, runs []cell) {
+	var wall float64
+	var instr int64
+	var mix cpu.RegimeStats
+	hits := 0
+	for _, r := range runs {
+		wall += r.res.WallSeconds
+		instr += r.res.Instructions
+		mix.Add(r.res.Regimes)
+		if r.hit {
+			hits++
+		}
+	}
+	origin := ""
+	if hits > 0 {
+		origin = fmt.Sprintf(" (%d original runs, served from cache)", hits)
+	}
+	ips := 0.0
+	if wall > 0 {
+		ips = float64(instr) / wall
+	}
+	fmt.Fprintf(w, "    %d runs%s: %.3f s wall, %.1fM sim-IPS\n    %s\n",
+		len(runs), origin, wall, ips/1e6, mix.Mix())
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -131,5 +132,40 @@ func TestMatrixCacheDirFailureFallsBack(t *testing.T) {
 	}
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+}
+
+// TestMatrixProgressReportsKernel pins the progress line's kernel
+// figures: each completed workload reports its runs' wall time, sim-IPS
+// and regime mix, and says how many were served from cache.
+func TestMatrixProgressReportsKernel(t *testing.T) {
+	opts := matrixOpts(1)
+	opts.Workloads = []string{"gcc"}
+	opts.Sim.Instructions = 30_000
+	opts.CacheDir = t.TempDir()
+	var cold, warm strings.Builder
+
+	ResetBaselineCache()
+	opts.Progress = &cold
+	if _, err := runMatrix(opts, matrixConfigs); err != nil {
+		t.Fatal(err)
+	}
+	ResetBaselineCache()
+	opts.Progress = &warm
+	if _, err := runMatrix(opts, matrixConfigs); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		out, origin string
+	}{
+		"cold": {cold.String(), "    3 runs: "},
+		"warm": {warm.String(), "    3 runs (3 original runs, served from cache): "},
+	} {
+		if !strings.Contains(c.out, "  gcc            done (baseline IPC ") ||
+			!strings.Contains(c.out, c.origin) ||
+			!strings.Contains(c.out, "M sim-IPS\n    regime mix of ") ||
+			!strings.Contains(c.out, "stepped 0.0%\n") {
+			t.Errorf("%s progress lacks the kernel figures:\n%s", name, c.out)
+		}
 	}
 }

@@ -30,7 +30,9 @@ type PerfOptions struct {
 	// and binary exists. Results are deterministic, so caching cannot
 	// change any normalized number.
 	CacheDir string
-	// Progress, if non-nil, receives one line per completed workload.
+	// Progress, if non-nil, receives one entry per completed workload:
+	// its baseline IPC, then its runs' wall time, sim-IPS and regime
+	// mix (marked when runs were served from cache).
 	Progress io.Writer
 }
 

@@ -170,6 +170,62 @@ func (r *RNG) Poisson(lambda float64) int {
 	return int(n + 0.5)
 }
 
+// PoissonRunLength returns the number of Poisson(lambda) draws up to and
+// including the first one that is at least k, consuming exactly the
+// uniforms that many r.Poisson(lambda) calls would, so the stream after
+// it is the same. It computes exp(-lambda) once instead of once per
+// draw, and tests each draw's first uniform as an integer: Float64 is
+// (x>>11)/2^53, so u <= exp(-lambda) holds exactly when
+// x>>11 <= floor(exp(-lambda)·2^53). Only the ~lambda fraction of draws
+// that fail that test continue Knuth's product. lambda >= 30 falls back
+// to r.Poisson. Panics if lambda <= 0 or k < 1, where no draw ever
+// reaches k.
+func (r *RNG) PoissonRunLength(lambda float64, k int) uint64 {
+	if !(lambda > 0) || k < 1 {
+		panic("stats: PoissonRunLength needs lambda > 0 and k >= 1")
+	}
+	var n uint64
+	if lambda >= 30 {
+		for {
+			n++
+			if r.Poisson(lambda) >= k {
+				return n
+			}
+		}
+	}
+	l := math.Exp(-lambda)
+	zero := uint64(l * (1 << 53)) // exact product; the conversion floors
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for {
+		n++
+		// r.Uint64 on the state held in locals (Go does not inline it).
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if x>>11 <= zero {
+			continue // this draw is 0 < k
+		}
+		r.s = [4]uint64{s0, s1, s2, s3} // Float64 continues from here
+		draw, p := 1, float64(x>>11)/(1<<53)
+		for {
+			p *= r.Float64()
+			if p <= l {
+				break
+			}
+			draw++
+		}
+		if draw >= k {
+			return n
+		}
+		s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+	}
+}
+
 // Normal returns a standard normal sample (Box-Muller).
 func (r *RNG) Normal() float64 {
 	u1 := r.Float64()

@@ -131,6 +131,67 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
+// TestPoissonRunLengthMatchesPoissonLoop pins PoissonRunLength to the
+// loop it replaces: the same run lengths from the same seed, and the
+// same RNG state afterwards. The λ set spans the paper's direct cell
+// (0.00307), multi-uniform windows, both sides of the λ = 30 fallback,
+// and λ small enough that exp(-λ)·2^53 sits just below 2^53.
+func TestPoissonRunLengthMatchesPoissonLoop(t *testing.T) {
+	cases := 0
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, lambda := range []float64{1e-4, 0.00307, 0.5, 2, 29.9, 30, 45} {
+			for _, k := range []int{1, 2, 3, 6} {
+				if 1/PoissonTail(k, lambda) > 1e6 {
+					continue // expected run too long for a unit test
+				}
+				cases++
+				a, b := NewRNG(seed), NewRNG(seed)
+				// Three runs in a row: each must also leave the stream
+				// where the next one expects it.
+				for run := 0; run < 3; run++ {
+					got := a.PoissonRunLength(lambda, k)
+					var want uint64
+					for {
+						want++
+						if b.Poisson(lambda) >= k {
+							break
+						}
+					}
+					if got != want {
+						t.Fatalf("seed %d λ=%g k=%d run %d: PoissonRunLength = %d, Poisson loop = %d",
+							seed, lambda, k, run, got, want)
+					}
+				}
+				for i := 0; i < 4; i++ {
+					if x, y := a.Uint64(), b.Uint64(); x != y {
+						t.Fatalf("seed %d λ=%g k=%d: RNG state diverged (output %d: %#x vs %#x)",
+							seed, lambda, k, i, x, y)
+					}
+				}
+			}
+		}
+	}
+	if cases != 3*23 {
+		t.Fatalf("%d (seed, λ, k) cases ran, want 69", cases)
+	}
+}
+
+func TestPoissonRunLengthPanicsOnEndlessRun(t *testing.T) {
+	for _, c := range []struct {
+		lambda float64
+		k      int
+	}{{0, 1}, {-1, 1}, {math.NaN(), 1}, {0.5, 0}, {0.5, -3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PoissonRunLength(%g, %d) did not panic", c.lambda, c.k)
+				}
+			}()
+			NewRNG(1).PoissonRunLength(c.lambda, c.k)
+		}()
+	}
+}
+
 func TestBinomialMoments(t *testing.T) {
 	r := NewRNG(5)
 	cases := []struct {
